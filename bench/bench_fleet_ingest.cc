@@ -138,7 +138,7 @@ timeConfigOnce(const std::vector<fleet::RunProfile> &profiles,
         std::size_t drained = 0;
         while (drained < profiles.size()) {
             drained += collector.drainViews(
-                [](const fleet::RunProfileView &) {});
+                [](const fleet::RunProfileView &, std::uint64_t) {});
             if (!producing.load(std::memory_order_acquire) &&
                 collector.queued() == 0 &&
                 drained >= profiles.size())

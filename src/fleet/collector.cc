@@ -146,7 +146,8 @@ Collector::ingest(const std::uint8_t *data, std::size_t size)
     ProducerState &prod = localProducer();
     FrameDesc desc = acquireFrame(prod, size);
     std::memcpy(const_cast<std::uint8_t *>(desc.data), data, size);
-    return commit(shard, shardIndex, desc, print);
+    desc.print = print;
+    return commit(shard, shardIndex, desc);
 }
 
 IngestStatus
@@ -176,13 +177,15 @@ Collector::submit(const RunProfile &profile)
         countDuplicate(shard, print);
         return IngestStatus::Duplicate;
     }
-    return commit(shard, shardIndex, desc, print);
+    desc.print = print;
+    return commit(shard, shardIndex, desc);
 }
 
 IngestStatus
 Collector::commit(Shard &shard, unsigned shard_index,
-                  const FrameDesc &desc, std::uint64_t print)
+                  const FrameDesc &desc)
 {
+    std::uint64_t print = desc.print;
     bool waited = false;
     if (!shard.ring.tryPush(desc)) {
         if (overflow_ == OverflowPolicy::Drop) {
@@ -244,13 +247,13 @@ Collector::drain()
 std::size_t
 Collector::drainInto(const std::function<void(RunProfile &&)> &sink)
 {
-    return drainViews(
-        [&](const RunProfileView &v) { sink(v.materialize()); });
+    return drainViews([&](const RunProfileView &v, std::uint64_t) {
+        sink(v.materialize());
+    });
 }
 
 std::size_t
-Collector::drainViews(
-    const std::function<void(const RunProfileView &)> &sink)
+Collector::drainViews(const ViewSink &sink)
 {
     obs::TraceSpan drainSpan(obs::TraceCategory::Fleet,
                              obs::TraceId::FleetDrain);
@@ -268,7 +271,7 @@ Collector::drainViews(
             WireStatus ws =
                 decodeFrameView(desc.data, desc.len, &view, true);
             if (ws == WireStatus::Ok)
-                sink(view);
+                sink(view, desc.print);
             // Completion doorbell: the frame's bytes are free to be
             // recycled the moment the callback returns.
             if (desc.arena)

@@ -160,13 +160,16 @@ class Collector
 
     /**
      * Zero-copy drain: decode each queued frame *in place* and hand
-     * the caller a non-owning view; the frame's bytes are completed
-     * (returned to their arena) when the callback returns, so the
-     * view must not escape it. One consumer at a time (internally
-     * serialized per batch).
+     * the caller a non-owning view plus the report's fingerprint
+     * (fingerprintPayload() of the view's payload, computed once at
+     * ingest for dedup and carried across the ring). The frame's
+     * bytes are completed (returned to their arena) when the callback
+     * returns, so the view must not escape it. One consumer at a time
+     * (internally serialized per batch).
      */
-    std::size_t
-    drainViews(const std::function<void(const RunProfileView &)> &sink);
+    using ViewSink =
+        std::function<void(const RunProfileView &, std::uint64_t print)>;
+    std::size_t drainViews(const ViewSink &sink);
 
     /**
      * Close the intake: blocked producers wake and report Closed, and
@@ -216,15 +219,17 @@ class Collector
 
   private:
     /**
-     * What crosses a shard ring: one encoded frame by reference. The
-     * arena pointer routes the completion; a null arena marks a
-     * heap-owned frame (arena saturated or frame oversize) that the
-     * consumer deletes instead.
+     * What crosses a shard ring: one encoded frame by reference, with
+     * the fingerprint ingest already computed so the consumer never
+     * re-hashes the payload. The arena pointer routes the completion;
+     * a null arena marks a heap-owned frame (arena saturated or frame
+     * oversize) that the consumer deletes instead.
      */
     struct FrameDesc
     {
         const std::uint8_t *data = nullptr;
         FrameArena *arena = nullptr;
+        std::uint64_t print = 0;
         std::uint32_t len = 0;
         std::uint32_t reserved = 0;
     };
@@ -263,7 +268,7 @@ class Collector
     FrameDesc acquireFrame(ProducerState &prod, std::size_t size);
     static void releaseFrame(const FrameDesc &desc);
     IngestStatus commit(Shard &shard, unsigned shard_index,
-                        const FrameDesc &desc, std::uint64_t print);
+                        const FrameDesc &desc);
     void countDuplicate(Shard &shard, std::uint64_t print);
     /** Publish helpers; caller holds statsMu_. */
     void publishAggregateLocked() const;

@@ -47,7 +47,7 @@ mergeSnapshotDir(const std::string &dir)
             ++result.filesSkipped;
             continue;
         }
-        result.merged.merge(snap);
+        result.merged.merge(std::move(snap));
         ++result.filesMerged;
     }
     return result;
@@ -71,10 +71,9 @@ DurableCollector::DurableCollector(const DurableOptions &opts)
 }
 
 void
-DurableCollector::foldView(const RunProfileView &view)
+DurableCollector::foldView(const RunProfileView &view,
+                           std::uint64_t print)
 {
-    std::uint64_t print =
-        fingerprintPayload(view.payload(), view.payloadSize());
     auto [it, inserted] =
         store_.emplace(print, ReportDigest{});
     if (!inserted)
@@ -132,7 +131,9 @@ DurableCollector::recover()
                                 &view) != WireStatus::Ok) {
                 return; // WAL CRC passed but frame is hostile: skip
             }
-            foldView(view);
+            // No ring here to carry an ingest fingerprint: hash.
+            foldView(view, fingerprintPayload(view.payload(),
+                                              view.payloadSize()));
             ++recovery_.walRecordsReplayed;
             epoch_ = std::max(epoch_, rec.epoch);
         });
@@ -175,7 +176,9 @@ std::size_t
 DurableCollector::pump()
 {
     return collector_.drainViews(
-        [&](const RunProfileView &view) { foldView(view); });
+        [&](const RunProfileView &view, std::uint64_t print) {
+            foldView(view, print);
+        });
 }
 
 RankerSnapshot

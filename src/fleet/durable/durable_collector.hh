@@ -18,7 +18,9 @@
  *
  *   pump() ── drain the inner collector's rings: each view folds
  *             into the deduplicated report store (fingerprint →
- *             ReportDigest) and the IncrementalRanker.
+ *             ReportDigest) and the IncrementalRanker, keyed by the
+ *             fingerprint ingest computed for dedup (the ring carries
+ *             it, so the payload is hashed once per report).
  *
  *   rollEpoch() ── the epoch boundary, in order:
  *       1. pump()                (nothing accepted is left queued)
@@ -26,7 +28,10 @@
  *       3. WAL flush
  *       4. write whole-store RankerSnapshot for this epoch
  *          (tmp + rename: readers never see a torn snapshot)
- *       5. prune WAL segments fully covered by the snapshot
+ *       5. prune WAL segments fully covered by the snapshot (the
+ *          writer remembers the last epoch of each segment it
+ *          closed, so only a segment left by an earlier process is
+ *          ever read, and only once)
  *       6. epoch += 1
  *
  * Recovery (constructor, when the durable directory has state):
@@ -176,7 +181,8 @@ class DurableCollector
 
   private:
     void recover();
-    void foldView(const RunProfileView &view);
+    /** Fold one report, keyed by its fingerprint @p print. */
+    void foldView(const RunProfileView &view, std::uint64_t print);
 
     std::string dir_;
     std::uint64_t collectorId_;

@@ -7,6 +7,7 @@
 
 #include "diag/event_key.hh"
 #include "support/checksum.hh"
+#include "support/file_io.hh"
 
 namespace stm::fleet
 {
@@ -15,26 +16,27 @@ namespace
 {
 
 /** Explicit little-endian helpers (the disk format is LE, like the
- * wire). Loads bound-check nothing — callers own the arithmetic. */
+ * wire). Neither stores nor loads bound-check — callers own the
+ * arithmetic. */
 void
-putLe16(std::vector<std::uint8_t> &out, std::uint16_t v)
+putLe16(std::uint8_t *p, std::uint16_t v)
 {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
 void
-putLe32(std::vector<std::uint8_t> &out, std::uint32_t v)
+putLe32(std::uint8_t *p, std::uint32_t v)
 {
-    putLe16(out, static_cast<std::uint16_t>(v));
-    putLe16(out, static_cast<std::uint16_t>(v >> 16));
+    putLe16(p, static_cast<std::uint16_t>(v));
+    putLe16(p + 2, static_cast<std::uint16_t>(v >> 16));
 }
 
 void
-putLe64(std::vector<std::uint8_t> &out, std::uint64_t v)
+putLe64(std::uint8_t *p, std::uint64_t v)
 {
-    putLe32(out, static_cast<std::uint32_t>(v));
-    putLe32(out, static_cast<std::uint32_t>(v >> 32));
+    putLe32(p, static_cast<std::uint32_t>(v));
+    putLe32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
 std::uint16_t
@@ -68,6 +70,10 @@ snapCrc(const std::uint8_t *file, std::size_t payload_len)
     return crc32Final(c);
 }
 
+/** Fixed payload prefix: collectorId u64 + epoch u64 + count u64. */
+constexpr std::size_t kPrefixSize = 24;
+/** Per-report header: fingerprint u64 + failure u8 + eventCount u32. */
+constexpr std::size_t kReportHeaderSize = 13;
 constexpr std::size_t kEventSize = 17; // type u8 + a u64 + b u64
 
 } // namespace
@@ -113,12 +119,10 @@ digestOfView(const RunProfileView &view)
 }
 
 void
-RankerSnapshot::merge(const RankerSnapshot &other)
+RankerSnapshot::merge(RankerSnapshot other)
 {
-    // min/max metadata keeps the merged scalars order-independent;
-    // map::insert keeps the existing digest on key collision, which
-    // is exactly idempotence (equal fingerprints carry equal
-    // digests). Collector id 0 is "unset" (the identity element a
+    // min/max metadata keeps the merged scalars order-independent.
+    // Collector id 0 is "unset" (the identity element a
     // default-constructed accumulator starts as) and never wins the
     // min — real collectors use ids >= 1.
     if (collectorId_ == 0)
@@ -126,7 +130,13 @@ RankerSnapshot::merge(const RankerSnapshot &other)
     else if (other.collectorId_ != 0)
         collectorId_ = std::min(collectorId_, other.collectorId_);
     epoch_ = std::max(epoch_, other.epoch_);
-    reports_.insert(other.reports_.begin(), other.reports_.end());
+    // map::merge moves nodes across and leaves a colliding key's
+    // existing digest in place, which is exactly idempotence (equal
+    // fingerprints carry equal digests).
+    if (reports_.empty())
+        reports_ = std::move(other.reports_);
+    else
+        reports_.merge(other.reports_);
 }
 
 scoring::SufficientStats
@@ -155,42 +165,45 @@ RankerSnapshot::rank(bool include_absence) const
                                 include_absence);
 }
 
+std::size_t
+RankerSnapshot::encodedSize() const
+{
+    std::size_t size = kSnapHeaderSize + kPrefixSize;
+    for (const auto &[fp, d] : reports_)
+        size += kReportHeaderSize + kEventSize * d.events.size();
+    return size;
+}
+
 std::vector<std::uint8_t>
 RankerSnapshot::serialize() const
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(kSnapHeaderSize + 24 + reports_.size() * 64);
-    putLe32(out, kSnapMagic);
-    putLe16(out, kSnapVersion);
-    putLe16(out, 0); // flags, reserved
-    putLe32(out, 0); // payloadLen, patched below
-    putLe32(out, 0); // crc, patched below
+    std::vector<std::uint8_t> out(encodedSize());
+    std::uint8_t *p = out.data();
+    putLe32(p, kSnapMagic);
+    putLe16(p + 4, kSnapVersion);
+    putLe16(p + 6, 0); // flags, reserved
+    p += kSnapHeaderSize; // payloadLen and crc are patched below
 
-    putLe64(out, collectorId_);
-    putLe64(out, epoch_);
-    putLe64(out, reports_.size());
+    putLe64(p, collectorId_);
+    putLe64(p + 8, epoch_);
+    putLe64(p + 16, reports_.size());
+    p += kPrefixSize;
     for (const auto &[fp, d] : reports_) {
-        putLe64(out, fp);
-        out.push_back(d.failure ? 1 : 0);
-        putLe32(out, static_cast<std::uint32_t>(d.events.size()));
+        putLe64(p, fp);
+        p[8] = d.failure ? 1 : 0;
+        putLe32(p + 9, static_cast<std::uint32_t>(d.events.size()));
+        p += kReportHeaderSize;
         for (const EventKey &e : d.events) {
-            out.push_back(static_cast<std::uint8_t>(e.type));
-            putLe64(out, e.a);
-            putLe64(out, e.b);
+            p[0] = static_cast<std::uint8_t>(e.type);
+            putLe64(p + 1, e.a);
+            putLe64(p + 9, e.b);
+            p += kEventSize;
         }
     }
 
     std::size_t payloadLen = out.size() - kSnapHeaderSize;
-    std::uint32_t len32 = static_cast<std::uint32_t>(payloadLen);
-    out[8] = static_cast<std::uint8_t>(len32);
-    out[9] = static_cast<std::uint8_t>(len32 >> 8);
-    out[10] = static_cast<std::uint8_t>(len32 >> 16);
-    out[11] = static_cast<std::uint8_t>(len32 >> 24);
-    std::uint32_t crc = snapCrc(out.data(), payloadLen);
-    out[12] = static_cast<std::uint8_t>(crc);
-    out[13] = static_cast<std::uint8_t>(crc >> 8);
-    out[14] = static_cast<std::uint8_t>(crc >> 16);
-    out[15] = static_cast<std::uint8_t>(crc >> 24);
+    putLe32(out.data() + 8, static_cast<std::uint32_t>(payloadLen));
+    putLe32(out.data() + 12, snapCrc(out.data(), payloadLen));
     return out;
 }
 
@@ -216,29 +229,29 @@ RankerSnapshot::deserialize(const std::uint8_t *data,
 
     const std::uint8_t *p = data + kSnapHeaderSize;
     std::size_t rem = payloadLen;
-    if (rem < 24)
+    if (rem < kPrefixSize)
         return SnapStatus::Malformed;
     RankerSnapshot snap;
     snap.collectorId_ = getLe64(p);
     snap.epoch_ = getLe64(p + 8);
     std::uint64_t reportCount = getLe64(p + 16);
-    p += 24;
-    rem -= 24;
+    p += kPrefixSize;
+    rem -= kPrefixSize;
 
-    // Every report costs at least 13 bytes; reject absurd counts
+    // Every report costs at least its header; reject absurd counts
     // before looping so a hostile header cannot make us spin.
-    if (reportCount > rem / 13)
+    if (reportCount > rem / kReportHeaderSize)
         return SnapStatus::Malformed;
 
     std::uint64_t lastFp = 0;
     for (std::uint64_t r = 0; r < reportCount; ++r) {
-        if (rem < 13)
+        if (rem < kReportHeaderSize)
             return SnapStatus::Malformed;
         std::uint64_t fp = getLe64(p);
         std::uint8_t failure = p[8];
         std::uint32_t eventCount = getLe32(p + 9);
-        p += 13;
-        rem -= 13;
+        p += kReportHeaderSize;
+        rem -= kReportHeaderSize;
         if (failure > 1)
             return SnapStatus::Malformed;
         // Canonical order is strictly ascending; ties would mean
@@ -305,12 +318,9 @@ SnapStatus
 RankerSnapshot::readFile(const std::string &path,
                          RankerSnapshot *out)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
+    std::vector<std::uint8_t> bytes;
+    if (!readWholeFile(path, &bytes))
         return SnapStatus::Truncated;
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(is)),
-        std::istreambuf_iterator<char>());
     return deserialize(bytes.data(), bytes.size(), out);
 }
 

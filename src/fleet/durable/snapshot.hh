@@ -138,9 +138,11 @@ class RankerSnapshot
      * idempotent: overlapping fingerprints keep the existing digest
      * (equal fingerprints imply equal payloads, hence equal digests,
      * up to hash collision), collectorId takes the min and epoch the
-     * max so the scalar metadata is order-independent too.
+     * max so the scalar metadata is order-independent too. Taken
+     * by value: pass an rvalue to splice its digests in without
+     * copying them.
      */
-    void merge(const RankerSnapshot &other);
+    void merge(RankerSnapshot other);
 
     /**
      * The sufficient statistics the snapshot projects to: exactly
@@ -159,6 +161,12 @@ class RankerSnapshot
 
     /** Canonical encoding (deterministic: equal maps, equal bytes). */
     std::vector<std::uint8_t> serialize() const;
+
+    /**
+     * Exact size of serialize()'s output: header + 24-byte prefix +
+     * per report 13 + 17 bytes per event.
+     */
+    std::size_t encodedSize() const;
 
     /**
      * Decode one snapshot. On success fills @p out and returns Ok;

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "support/checksum.hh"
+#include "support/file_io.hh"
 #include "support/logging.hh"
 
 namespace stm::fleet
@@ -144,6 +145,7 @@ WalWriter::WalWriter(std::string dir, std::uint64_t collector_id,
     std::vector<std::uint64_t> existing =
         walSegments(dir_, collectorId_);
     activeSeq_ = existing.empty() ? 0 : existing.back() + 1;
+    firstSeq_ = activeSeq_;
     openSegment();
 }
 
@@ -159,7 +161,9 @@ WalWriter::openSegment()
     if (out_.is_open()) {
         out_.flush();
         out_.close();
+        closedLastEpoch_[activeSeq_] = activeLastEpoch_;
         ++activeSeq_;
+        activeLastEpoch_ = 0;
     }
     std::string path =
         walSegmentPath(dir_, collectorId_, activeSeq_);
@@ -193,6 +197,7 @@ WalWriter::append(std::uint64_t epoch, const std::uint8_t *frame,
     out_.write(reinterpret_cast<const char *>(frame),
                static_cast<std::streamsize>(size));
     std::size_t total = sizeof header + size;
+    activeLastEpoch_ = epoch;
     activeBytes_ += total;
     bytesAppended_ += total;
     ++recordsAppended_;
@@ -205,28 +210,44 @@ WalWriter::flush()
     out_.flush();
 }
 
+std::uint64_t
+WalWriter::lastEpochOf(std::uint64_t seq)
+{
+    auto it = closedLastEpoch_.find(seq);
+    if (it != closedLastEpoch_.end())
+        return it->second;
+    // Not a segment this writer closed: its valid prefix is exactly
+    // what any recovery could ever read out of it, so the last epoch
+    // of that prefix decides. Segments below firstSeq_ were left by
+    // an earlier process, and no writer appends to an existing file,
+    // so their answer is final and cached.
+    std::uint64_t lastEpoch = 0;
+    replayWalSegment(
+        walSegmentPath(dir_, collectorId_, seq),
+        [&](const WalRecord &rec) { lastEpoch = rec.epoch; });
+    ++segmentsScanned_;
+    if (seq < firstSeq_)
+        closedLastEpoch_[seq] = lastEpoch;
+    return lastEpoch;
+}
+
 std::size_t
 WalWriter::prune(std::uint64_t epoch)
 {
-    // Scan rather than track: prior-generation segments (left by a
-    // crashed process) must be prunable too, and this writer never
-    // appended to them. A segment's valid prefix is exactly what any
-    // recovery could ever read out of it, so "max valid epoch <=
-    // snapshot epoch" means the file carries no recoverable data the
-    // snapshot lacks.
+    // A segment whose last valid epoch is <= the snapshot epoch
+    // carries no recoverable data the snapshot lacks. This writer's
+    // own closed segments answer from the epoch it recorded when it
+    // closed them (what a scan would find, since it wrote every
+    // byte); earlier processes' segments are scanned once.
     std::size_t removed = 0;
     for (std::uint64_t seq : walSegments(dir_, collectorId_)) {
-        if (seq == activeSeq_)
-            continue;
-        std::uint64_t lastEpoch = 0;
-        replayWalSegment(
-            walSegmentPath(dir_, collectorId_, seq),
-            [&](const WalRecord &rec) { lastEpoch = rec.epoch; });
-        if (lastEpoch > epoch)
+        if (seq == activeSeq_ || lastEpochOf(seq) > epoch)
             continue;
         std::string path = walSegmentPath(dir_, collectorId_, seq);
-        if (std::remove(path.c_str()) == 0)
+        if (std::remove(path.c_str()) == 0) {
+            closedLastEpoch_.erase(seq);
             ++removed;
+        }
     }
     return removed;
 }
@@ -236,14 +257,11 @@ replayWalSegment(const std::string &path,
                  const std::function<void(const WalRecord &)> &sink)
 {
     WalReplayResult result;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    std::vector<std::uint8_t> bytes;
+    if (!readWholeFile(path, &bytes)) {
         result.status = WalStatus::Truncated;
         return result;
     }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(is)),
-        std::istreambuf_iterator<char>());
 
     const std::uint8_t *data = bytes.data();
     std::size_t size = bytes.size();

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -128,23 +129,42 @@ class WalWriter
      * left by a crashed process: their torn tails were unreadable at
      * recovery and stay unreadable forever, so once the valid prefix
      * is covered the file is garbage. The active segment is never
-     * pruned. Returns the number of files deleted.
+     * pruned. Segments this writer closed are judged by the last
+     * epoch it appended to them, with no file read; any other
+     * segment is replayed to find its last valid epoch, and a
+     * prior-generation segment's answer is cached, so it is read at
+     * most once. Returns the number of files deleted.
      */
     std::size_t prune(std::uint64_t epoch);
 
     std::uint64_t segmentsOpened() const { return segmentsOpened_; }
     std::uint64_t bytesAppended() const { return bytesAppended_; }
     std::uint64_t recordsAppended() const { return recordsAppended_; }
+    /** Segments prune() has had to replay (none of this writer's). */
+    std::uint64_t segmentsScanned() const { return segmentsScanned_; }
 
   private:
     void openSegment();
+    /** Last valid epoch of non-active segment @p seq (0 if empty). */
+    std::uint64_t lastEpochOf(std::uint64_t seq);
 
     std::string dir_;
     std::uint64_t collectorId_;
     std::size_t rotateBytes_;
     std::ofstream out_;
     std::uint64_t activeSeq_ = 0;
+    /** First segment this writer opened; lower ones predate it. */
+    std::uint64_t firstSeq_ = 0;
     std::size_t activeBytes_ = 0;
+    /** Epoch of the active segment's last record (0 while empty). */
+    std::uint64_t activeLastEpoch_ = 0;
+    /**
+     * Last epoch of each closed segment still on disk: recorded at
+     * rotation for this writer's segments, cached after one scan for
+     * an earlier process's.
+     */
+    std::map<std::uint64_t, std::uint64_t> closedLastEpoch_;
+    std::uint64_t segmentsScanned_ = 0;
     std::uint64_t segmentsOpened_ = 0;
     std::uint64_t bytesAppended_ = 0;
     std::uint64_t recordsAppended_ = 0;

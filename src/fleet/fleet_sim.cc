@@ -273,8 +273,9 @@ runFleetDiagnosis(const BugSpec &bug, const FleetOptions &opts,
     // without ever materializing a RunProfile.
     IncrementalRanker ranker;
     auto pump = [&] {
-        sink.drainViews(
-            [&](const RunProfileView &v) { ranker.ingest(v); });
+        sink.drainViews([&](const RunProfileView &v, std::uint64_t) {
+            ranker.ingest(v);
+        });
     };
     std::uint64_t sent = 0;
     for (const RunProfile &p : capture.reports) {

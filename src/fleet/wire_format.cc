@@ -191,12 +191,6 @@ frameCrc(const std::uint8_t *frame, std::size_t payload_len)
 
 } // namespace
 
-std::uint32_t
-crc32(const std::uint8_t *data, std::size_t size)
-{
-    return stm::crc32(data, size);
-}
-
 std::string
 wireStatusName(WireStatus status)
 {

@@ -247,9 +247,6 @@ fingerprintPayload(const std::uint8_t *payload, std::size_t size)
     return fnv1a(payload, size);
 }
 
-/** CRC32 (IEEE 802.3, reflected) of @p size bytes at @p data. */
-std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
-
 /**
  * Build the RunProfile for one captured ProfileRecord of a finished
  * run (the glue between the VM's RunResult and the wire).

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "support/checksum.hh"
+#include "support/file_io.hh"
 
 namespace stm::obs
 {
@@ -192,13 +193,8 @@ writeTraceFile(const std::string &path,
 TraceIoStatus
 readTraceFile(const std::string &path, std::vector<TraceEvent> *out)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return TraceIoStatus::IoError;
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(is)),
-        std::istreambuf_iterator<char>());
-    if (is.bad())
+    std::vector<std::uint8_t> bytes;
+    if (!readWholeFile(path, &bytes))
         return TraceIoStatus::IoError;
     return decodeTrace(bytes, out);
 }

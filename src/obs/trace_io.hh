@@ -10,8 +10,8 @@
  *   [magic u32 "STMT"][version u16][flags u16][payloadLen u32]
  *   [crc32 u32][payload: payloadLen bytes]
  *
- * The CRC (IEEE 802.3, the shared fleet::crc32) covers version, flags,
- * and payload. The payload is a count-prefixed array of fixed 24-byte
+ * The CRC (IEEE 802.3, stm::crc32 from support/checksum.hh) covers
+ * version, flags, and payload. The payload is a count-prefixed array of fixed 24-byte
  * little-endian event records:
  *
  *   [count u32] then per event:

@@ -647,14 +647,22 @@ TEST(Collector, DrainViewsDecodesEveryFrameInPlace)
     std::vector<RunProfile> sent;
     for (int i = 0; i < 64; ++i) {
         sent.push_back(randomProfile(rng));
-        ASSERT_EQ(collector.submit(sent.back()),
-                  IngestStatus::Accepted);
+        // Both producer doors: the zero-copy encoder and the wire.
+        IngestStatus status =
+            i % 2 == 0 ? collector.submit(sent.back())
+                       : collector.ingest(fleet::serialize(sent.back()));
+        ASSERT_EQ(status, IngestStatus::Accepted);
     }
     EXPECT_EQ(collector.queued(), sent.size());
     std::vector<RunProfile> got;
-    collector.drainViews([&](const fleet::RunProfileView &v) {
-        got.push_back(v.materialize());
-    });
+    collector.drainViews(
+        [&](const fleet::RunProfileView &v, std::uint64_t print) {
+            got.push_back(v.materialize());
+            // The ingest fingerprint rides the ring unchanged.
+            EXPECT_EQ(print, fleet::fingerprint(got.back()));
+            EXPECT_EQ(print, fleet::fingerprintPayload(
+                                 v.payload(), v.payloadSize()));
+        });
     EXPECT_EQ(collector.queued(), 0u);
     ASSERT_EQ(got.size(), sent.size());
     // Shards interleave, so compare as multisets (by fingerprint).

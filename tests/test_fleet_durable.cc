@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "corpus/registry.hh"
 #include "diag/ranker.hh"
@@ -25,6 +27,7 @@
 #include "fleet/durable/snapshot.hh"
 #include "fleet/durable/wal.hh"
 #include "support/checksum.hh"
+#include "support/file_io.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 
@@ -154,10 +157,9 @@ scratchDir(const std::string &tag)
 std::vector<std::uint8_t>
 readFileBytes(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    return std::vector<std::uint8_t>(
-        (std::istreambuf_iterator<char>(is)),
-        std::istreambuf_iterator<char>());
+    std::vector<std::uint8_t> bytes;
+    EXPECT_TRUE(readWholeFile(path, &bytes)) << path;
+    return bytes;
 }
 
 void
@@ -178,12 +180,64 @@ TEST(RankerSnapshot, RoundTripsRandomStores)
         RankerSnapshot snap(1 + rng.nextBounded(5), rng.next(),
                             mapOf(distinctProfiles(rng, 8)));
         std::vector<std::uint8_t> bytes = snap.serialize();
+        EXPECT_EQ(bytes.size(), snap.encodedSize())
+            << "iteration " << iter;
         RankerSnapshot decoded;
         ASSERT_EQ(RankerSnapshot::deserialize(bytes, &decoded),
                   SnapStatus::Ok)
             << "iteration " << iter;
         EXPECT_EQ(snap, decoded);
     }
+}
+
+TEST(RankerSnapshot, SerializePinsGoldenBytes)
+{
+    // A fixed three-report store, encoded once and pinned byte for
+    // byte: any encoder change must reproduce this file exactly.
+    RankerSnapshot::ReportMap store;
+    store[0x10] = ReportDigest{true, {}};
+    store[0x0123456789ABCDEFull] = ReportDigest{
+        true,
+        {EventKey::sourceBranch(5, true),
+         EventKey::rawBranch(0x401000),
+         EventKey{EventKey::Type::Coherence, 0x402000, 3}}};
+    store[0xFEDCBA9876543210ull] =
+        ReportDigest{false, {EventKey::sourceBranch(5, false)}};
+    RankerSnapshot snap(3, 9, store);
+
+    const std::vector<std::uint8_t> golden = {
+        // header: magic "STMS", version 1, flags 0, payloadLen, crc
+        0x53, 0x54, 0x4D, 0x53, 0x01, 0x00, 0x00, 0x00,
+        0x83, 0x00, 0x00, 0x00, 0x83, 0x81, 0x7A, 0x96,
+        // collectorId 3, epoch 9, reportCount 3
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // report 0x10: failure, no events
+        0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x00,
+        // report 0x0123456789ABCDEF: failure, three events
+        0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,
+        0x01, 0x03, 0x00, 0x00, 0x00,
+        0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x10, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x02, 0x00, 0x20, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // report 0xFEDCBA9876543210: success, one event
+        0x10, 0x32, 0x54, 0x76, 0x98, 0xBA, 0xDC, 0xFE,
+        0x00, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    };
+    std::vector<std::uint8_t> bytes = snap.serialize();
+    EXPECT_EQ(bytes, golden);
+    EXPECT_EQ(bytes.size(), snap.encodedSize());
+    RankerSnapshot decoded;
+    ASSERT_EQ(RankerSnapshot::deserialize(golden, &decoded),
+              SnapStatus::Ok);
+    EXPECT_EQ(decoded, snap);
 }
 
 TEST(RankerSnapshot, RoundTripsEmptyStore)
@@ -363,6 +417,32 @@ TEST(SnapshotMerge, IsCommutativeAndAssociative)
     }
 }
 
+TEST(SnapshotMerge, CollidingKeyKeepsTheAccumulatorsDigest)
+{
+    // Digests move across by node splice; on a fingerprint both sides
+    // hold, the accumulator's digest must win, whether the other side
+    // is copied in or moved in.
+    Pcg32 rng(26);
+    std::vector<RunProfile> pool = distinctProfiles(rng, 24);
+    RankerSnapshot a(2, 4, mapOf({pool.begin(), pool.begin() + 16}));
+    // pool[8] is in both halves; give b a different digest for it.
+    std::uint64_t shared = fleet::fingerprint(pool[8]);
+    RankerSnapshot::ReportMap clash =
+        mapOf({pool.begin() + 8, pool.end()});
+    clash.at(shared).failure = !clash.at(shared).failure;
+    RankerSnapshot b(1, 6, clash);
+
+    RankerSnapshot copied = a;
+    copied.merge(b);
+    RankerSnapshot moved = a;
+    moved.merge(RankerSnapshot(b));
+    EXPECT_EQ(moved, copied);
+    EXPECT_EQ(copied.reportCount(), pool.size());
+    EXPECT_EQ(copied.reports().at(shared), a.reports().at(shared));
+    EXPECT_EQ(copied.collectorId(), 1u);
+    EXPECT_EQ(copied.epoch(), 6u);
+}
+
 TEST(SnapshotMerge, ShuffledPartitionsMergeBitIdentically)
 {
     // The multi-collector contract: split one report stream across C
@@ -500,6 +580,96 @@ TEST(Wal, RotatesSegmentsAndPrunesCoveredOnes)
     // Pruning at the max epoch leaves just the active segment.
     writer.prune(~std::uint64_t{0});
     EXPECT_EQ(fleet::walSegments(dir, 7).size(), 1u);
+    // Every segment was the writer's own: none was read back.
+    EXPECT_EQ(writer.segmentsScanned(), 0u);
+}
+
+/** Last valid epoch of segment @p seq, by replaying it. */
+std::uint64_t
+scannedLastEpoch(const std::string &dir, std::uint64_t id,
+                 std::uint64_t seq)
+{
+    std::uint64_t last = 0;
+    fleet::replayWalSegment(
+        fleet::walSegmentPath(dir, id, seq),
+        [&](const WalRecord &r) { last = r.epoch; });
+    return last;
+}
+
+TEST(Wal, PrunesSegmentsLeftByAnEarlierWriter)
+{
+    // A first writer fills rotated segments over epochs 0..4 and is
+    // dropped without pruning (the crashed process). A second writer
+    // on the same directory must judge those segments from disk,
+    // reading each at most once, and its own rotated segments from
+    // the epochs it recorded, reaching the scan rule's decision.
+    Pcg32 rng(34);
+    std::string dir = scratchDir("walprior");
+    {
+        WalWriter first(dir, 5, /*rotate_bytes=*/256);
+        for (int i = 0; i < 40; ++i) {
+            std::vector<std::uint8_t> frame =
+                fleet::serialize(randomProfile(rng));
+            first.append(static_cast<std::uint64_t>(i / 8),
+                         frame.data(), frame.size());
+        }
+        ASSERT_GT(first.segmentsOpened(), 3u);
+    }
+    std::vector<std::uint64_t> prior = fleet::walSegments(dir, 5);
+
+    WalWriter second(dir, 5, /*rotate_bytes=*/256);
+    std::uint64_t active = fleet::walSegments(dir, 5).back();
+    EXPECT_EQ(active, prior.back() + 1);
+    for (int i = 0; i < 40; ++i) {
+        std::vector<std::uint8_t> frame =
+            fleet::serialize(randomProfile(rng));
+        second.append(static_cast<std::uint64_t>(5 + i / 8),
+                      frame.data(), frame.size());
+    }
+    second.flush();
+
+    // What the scan rule keeps at each cut, computed from disk.
+    auto survivorsAt = [&](std::uint64_t cut) {
+        std::vector<std::uint64_t> segs = fleet::walSegments(dir, 5);
+        std::vector<std::uint64_t> keep;
+        for (std::uint64_t seq : segs) {
+            // The highest segment is the active one: never pruned.
+            if (seq == segs.back() || scannedLastEpoch(dir, 5, seq) > cut)
+                keep.push_back(seq);
+        }
+        return keep;
+    };
+
+    // Cut inside the prior generation: epochs <= 2 go, the segment
+    // that straddles into epoch 3 stays.
+    std::vector<std::uint64_t> expected = survivorsAt(2);
+    std::size_t removed = second.prune(2);
+    EXPECT_EQ(fleet::walSegments(dir, 5), expected);
+    EXPECT_GT(removed, 0u);
+    EXPECT_LE(second.segmentsScanned(), prior.size());
+    bool straddler = false;
+    for (std::uint64_t seq : expected) {
+        if (seq < active) {
+            EXPECT_GT(scannedLastEpoch(dir, 5, seq), 2u);
+            straddler = true;
+        }
+    }
+    EXPECT_TRUE(straddler);
+
+    // A second cut re-reads nothing: the survivors' answers are
+    // cached, and the writer's own segments are never read.
+    std::uint64_t scanned = second.segmentsScanned();
+    expected = survivorsAt(6);
+    second.prune(6);
+    EXPECT_EQ(fleet::walSegments(dir, 5), expected);
+    EXPECT_EQ(second.segmentsScanned(), scanned);
+    for (std::uint64_t seq : expected)
+        EXPECT_GE(seq, active) << "prior segment " << seq << " kept";
+
+    // Cutting at the last epoch leaves only the active segment.
+    second.prune(~std::uint64_t{0});
+    EXPECT_EQ(fleet::walSegments(dir, 5).size(), 1u);
+    EXPECT_EQ(second.segmentsScanned(), scanned);
 }
 
 TEST(Wal, EveryTruncationReplaysTheExactPrefix)
@@ -696,6 +866,62 @@ TEST(DurableCollector, EpochRollWritesAMergeableSnapshot)
     EXPECT_EQ(static_cast<std::uint64_t>(
                   stats.gaugeValue("stored_reports")),
               pool.size());
+}
+
+TEST(DurableCollector, ConcurrentIngestFoldsEveryReportOnce)
+{
+    // ingest() is thread-safe: producers race on the inner rings and
+    // the WAL mutex while one consumer pumps. Each report must fold
+    // exactly once, keyed by the fingerprint its producer computed,
+    // and the WAL must recover the same store.
+    Pcg32 rng(55);
+    std::vector<RunProfile> pool = distinctProfiles(rng, 200);
+    std::vector<std::vector<std::uint8_t>> frames;
+    for (const RunProfile &p : pool)
+        frames.push_back(fleet::serialize(p));
+
+    DurableOptions opts;
+    opts.dir = scratchDir("durconcurrent");
+    opts.collectorId = 1;
+    opts.walRotateBytes = 4096;
+    opts.collector.shards = 2;
+    opts.collector.shardCapacity = 16;
+    RankerSnapshot::ReportMap stored;
+    {
+        DurableCollector collector(opts);
+        constexpr unsigned kProducers = 4;
+        std::atomic<unsigned> done{0};
+        std::vector<std::thread> producers;
+        for (unsigned t = 0; t < kProducers; ++t) {
+            producers.emplace_back([&, t] {
+                // Every producer sends the whole pool in its own
+                // order: one of them wins each report, the rest are
+                // duplicates.
+                for (std::size_t i = 0; i < frames.size(); ++i) {
+                    const auto &f =
+                        frames[(i * 7 + t * 50) % frames.size()];
+                    IngestStatus status = collector.ingest(f);
+                    EXPECT_TRUE(status == IngestStatus::Accepted ||
+                                status == IngestStatus::Duplicate);
+                }
+                done.fetch_add(1);
+            });
+        }
+        while (done.load() < kProducers)
+            collector.pump();
+        for (std::thread &t : producers)
+            t.join();
+        collector.pump();
+        EXPECT_EQ(collector.inner().stats().value("accepted"),
+                  pool.size());
+        EXPECT_EQ(collector.store(), mapOf(pool));
+        stored = collector.store();
+    }
+    // No epoch rolled, so recovery reads the (rotated) WAL alone.
+    DurableCollector recovered(opts);
+    EXPECT_FALSE(recovered.recovery().snapshotLoaded);
+    EXPECT_EQ(recovered.recovery().walRecordsReplayed, pool.size());
+    EXPECT_EQ(recovered.store(), stored);
 }
 
 TEST(DurableCollector, RecoversFromSnapshotPlusWalTail)

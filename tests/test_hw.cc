@@ -6,6 +6,9 @@
  * counters (selection, overflow sampling).
  */
 
+#include <cstring>
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "hw/bts.hh"
@@ -114,6 +117,24 @@ struct FilterCase
     bool kernel;
     bool suppressed;
 };
+
+/**
+ * Print a case as gtest's byte dump of a copy whose padding is zeroed.
+ * gtest_discover_tests names each case after this text, so without it
+ * the name carries whatever the padding held and changes run to run.
+ */
+void
+PrintTo(const FilterCase &c, std::ostream *os)
+{
+    FilterCase clean;
+    std::memset(&clean, 0, sizeof clean);
+    clean.mask = c.mask;
+    clean.kind = c.kind;
+    clean.kernel = c.kernel;
+    clean.suppressed = c.suppressed;
+    ::testing::internal::PrintBytesInObjectTo(
+        reinterpret_cast<const unsigned char *>(&clean), sizeof clean, os);
+}
 
 class LbrFilterSweep : public ::testing::TestWithParam<FilterCase>
 {

@@ -4,6 +4,9 @@
  * evaluation, and the disassembler.
  */
 
+#include <cstring>
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "isa/disassembler.hh"
@@ -59,6 +62,24 @@ struct CondCase
     std::int64_t a, b;
     bool expected;
 };
+
+/**
+ * Print a case as gtest's byte dump of a copy whose padding is zeroed.
+ * gtest_discover_tests names each case after this text, so without it
+ * the name carries whatever the padding held and changes run to run.
+ */
+void
+PrintTo(const CondCase &c, std::ostream *os)
+{
+    CondCase clean;
+    std::memset(&clean, 0, sizeof clean);
+    clean.cond = c.cond;
+    clean.a = c.a;
+    clean.b = c.b;
+    clean.expected = c.expected;
+    ::testing::internal::PrintBytesInObjectTo(
+        reinterpret_cast<const unsigned char *>(&clean), sizeof clean, os);
+}
 
 class CondSweep : public ::testing::TestWithParam<CondCase>
 {

@@ -11,10 +11,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <thread>
 #include <vector>
 
 #include "support/checksum.hh"
+#include "support/file_io.hh"
 #include "support/fingerprint_set.hh"
 #include "support/frame_arena.hh"
 #include "support/logging.hh"
@@ -438,6 +441,37 @@ TEST(Checksum, SplitUpdatesMatchOneShot)
                 << "len " << len << " cut " << cut;
         }
     }
+}
+
+// ---- readWholeFile -------------------------------------------------------
+
+TEST(ReadWholeFile, ReadsEveryByteOfFilesOfAnySize)
+{
+    std::string path = ::testing::TempDir() + "stm_read_whole_file";
+    // Empty, smaller than a stream buffer, and several buffers long.
+    for (std::size_t size : {std::size_t{0}, std::size_t{1},
+                             std::size_t{4095}, std::size_t{300001}}) {
+        std::vector<std::uint8_t> data(size);
+        for (std::size_t i = 0; i < size; ++i)
+            data[i] = static_cast<std::uint8_t>(i * 131 + size);
+        {
+            std::ofstream os(path, std::ios::binary | std::ios::trunc);
+            os.write(reinterpret_cast<const char *>(data.data()),
+                     static_cast<std::streamsize>(size));
+        }
+        std::vector<std::uint8_t> got = {0xAA}; // replaced, not appended
+        ASSERT_TRUE(readWholeFile(path, &got)) << "size " << size;
+        EXPECT_EQ(got, data) << "size " << size;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ReadWholeFile, MissingFileFailsAndLeavesOutputEmpty)
+{
+    std::vector<std::uint8_t> got = {1, 2, 3};
+    EXPECT_FALSE(readWholeFile(
+        ::testing::TempDir() + "stm_no_such_file_here", &got));
+    EXPECT_TRUE(got.empty());
 }
 
 // ---- MpscRing ------------------------------------------------------------
