@@ -161,15 +161,13 @@ measureSweepPoint(std::uint64_t iters, Pcg32 &rng)
 
 /** One timed traversal of the LBRA campaign mix. */
 double
-runCampaignMix(bool checkpointReprofile)
+runCampaignMix()
 {
     double t0 = now();
     for (const char *id : {"cp", "sort", "tac"}) {
         BugSpec bug = corpus::bugById(id);
-        AutoDiagOptions opts;
-        opts.checkpointReprofile = checkpointReprofile;
         AutoDiagResult result =
-            runLbra(bug.program, bug.failing, bug.succeeding, opts);
+            runLbra(bug.program, bug.failing, bug.succeeding);
         if (!result.diagnosed)
             std::abort();
     }
@@ -225,13 +223,13 @@ main(int argc, char **argv)
     std::cout << "\nLBRA campaign (cp+sort+tac), verify-mode replays\n";
     configureRunCache(RunCacheMode::Verify);
     configureSnapshotStore(false);
-    double populateOffSec = runCampaignMix(false);
-    double verifyScratchSec = runCampaignMix(false);
+    double populateOffSec = runCampaignMix();
+    double verifyScratchSec = runCampaignMix();
 
     configureRunCache(RunCacheMode::Verify); // fresh cache
     configureSnapshotStore(true);
-    double populateOnSec = runCampaignMix(false);
-    double verifyCkptSec = runCampaignMix(false);
+    double populateOnSec = runCampaignMix();
+    double verifyCkptSec = runCampaignMix();
     double recordOverhead = populateOffSec > 0
                                 ? populateOnSec / populateOffSec - 1.0
                                 : 0.0;
@@ -248,19 +246,6 @@ main(int argc, char **argv)
               << std::setprecision(3) << verifyCkptSec << " s\n"
               << "  verify speedup: " << std::setprecision(2)
               << verifySpeedup << "x\n";
-
-    // Reactive re-profile of the pinning seed: a scratch harvest
-    // re-runs it O(T); a checkpointed harvest resumes O(√T).
-    configureRunCache(RunCacheMode::Off);
-    configureSnapshotStore(false);
-    double reprofileScratchSec = runCampaignMix(true);
-    configureSnapshotStore(true);
-    double reprofileCkptSec = runCampaignMix(true);
-    configureSnapshotStore(false);
-    std::cout << "  " << cell("reprofile (scratch)", 24) << std::fixed
-              << std::setprecision(3) << reprofileScratchSec << " s\n"
-              << "  " << cell("reprofile (checkpoint)", 24)
-              << reprofileCkptSec << " s\n";
 
     std::ofstream os(outPath);
     os << std::fixed << std::setprecision(6);
@@ -284,10 +269,7 @@ main(int argc, char **argv)
        << "    \"record_overhead\": " << recordOverhead << ",\n"
        << "    \"verify_scratch_sec\": " << verifyScratchSec << ",\n"
        << "    \"verify_ckpt_sec\": " << verifyCkptSec << ",\n"
-       << "    \"verify_speedup\": " << verifySpeedup << ",\n"
-       << "    \"reprofile_scratch_sec\": " << reprofileScratchSec
-       << ",\n"
-       << "    \"reprofile_ckpt_sec\": " << reprofileCkptSec << "\n"
+       << "    \"verify_speedup\": " << verifySpeedup << "\n"
        << "  }\n}\n";
     std::cout << "  (written to " << outPath << ")\n";
 

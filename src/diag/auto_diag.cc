@@ -1,15 +1,7 @@
 #include "diag/auto_diag.hh"
 
-#include <optional>
-
-#include "exec/run_cache.hh"
-#include "exec/run_pool.hh"
-#include "exec/snapshot_store.hh"
+#include "diag/ranker.hh"
 #include "obs/trace.hh"
-#include "program/cfg.hh"
-#include "program/fingerprint.hh"
-#include "support/logging.hh"
-#include "vm/machine.hh"
 
 namespace stm
 {
@@ -17,323 +9,36 @@ namespace stm
 namespace
 {
 
-/**
- * The profile to use from one run: prefer a snapshot at @p site with
- * the requested success-site flag, fall back to any snapshot at the
- * site (wrong-output checkpoints execute in both kinds of run with
- * the failure-site flag).
- */
-const ProfileRecord *
-pickProfile(const RunResult &run, ProfileKind kind, LogSiteId site,
-            bool prefer_success_site)
-{
-    const ProfileRecord *preferred = nullptr;
-    const ProfileRecord *fallback = nullptr;
-    for (const auto &p : run.profiles) {
-        if (p.kind != kind || p.site != site)
-            continue;
-        if (p.successSite == prefer_success_site)
-            preferred = &p;
-        else
-            fallback = &p;
-    }
-    return preferred ? preferred : fallback;
-}
-
-std::set<EventKey>
-eventsOf(const ProfileRecord &profile)
-{
-    if (profile.kind == ProfileKind::Lbr)
-        return eventsOfLbr(profile.lbr);
-    return eventsOfLcr(profile.lcr);
-}
-
-/**
- * Runs fan out across the pool, but every decision that the serial
- * loop made — which attempts count, which profiles feed the ranker,
- * when to give up — is replayed in strict attempt order on the
- * consuming thread, so the result is bit-identical to the serial
- * path for any worker count.
- *
- * The failure loop is split in two pool batches around the pinning
- * failure: the Reactive scheme re-instruments the program once the
- * failure site is known, and the program must never be mutated while
- * Machines are in flight. The pool drains between batches.
- */
 AutoDiagResult
 runAutoDiag(ProgramPtr prog, const Workload &failing,
             const Workload &succeeding, const AutoDiagOptions &opts,
             bool lbr)
 {
+    Ranker ranker;
+    CampaignOutcome campaign = runCampaign(
+        prog, failing, succeeding, opts, lbr,
+        [&](const ProfileRecord &record, std::uint64_t,
+            const Workload &, bool failure) {
+            ranker.addProfile(failure,
+                              record.kind == ProfileKind::Lbr
+                                  ? eventsOfLbr(record.lbr)
+                                  : eventsOfLcr(record.lcr));
+        });
+
     AutoDiagResult result;
-
-    // 1. Base log-enhancement instrumentation as a copy-on-write
-    // overlay: the Program itself stays immutable for the whole
-    // campaign, so pool workers share it without copies and the
-    // run cache can address it by one base fingerprint.
-    Instrumentation plan;
-    if (lbr) {
-        transform::LbrLogPlan logPlan;
-        logPlan.lbrSelectMask = opts.log.lbrSelect;
-        logPlan.toggling = opts.log.toggling;
-        transform::applyLbrLog(*prog, plan, logPlan);
-    } else {
-        transform::LcrLogPlan logPlan;
-        logPlan.lcrConfigMask = opts.log.lcrConfig.pack();
-        logPlan.toggling = opts.log.toggling;
-        transform::applyLcrLog(*prog, plan, logPlan);
-    }
-
-    Cfg cfg(*prog);
-    if (opts.scheme == transform::SuccessSiteScheme::Proactive) {
-        transform::applySuccessSites(*prog, plan, cfg, lbr,
-                                     transform::SuccessSiteScheme::
-                                         Proactive);
-    }
-
-    // Runners read the published overlay and fingerprint through
-    // these locals; they are reassigned only between pool batches
-    // (pool drained), never while Machines are in flight.
-    const std::uint64_t baseFp = fingerprintProgramBase(*prog);
-    std::shared_ptr<const Instrumentation> overlay;
-    std::uint64_t progFp = 0;
-    auto publishOverlay = [&] {
-        overlay = std::make_shared<const Instrumentation>(plan);
-        progFp = combineFingerprints(
-            baseFp, fingerprintInstrumentation(plan));
-    };
-    publishOverlay();
-
-    ProfileKind kind = lbr ? ProfileKind::Lbr : ProfileKind::Lcr;
-    StatisticalRanker ranker;
-    RunPool pool(opts.jobs);
-
-    auto makeRunner = [&](const Workload &workload,
-                          std::uint64_t seed_base) {
-        MachineOptions proto = workload.forRun(0);
-        proto.lbrEntries = opts.log.lbrEntries;
-        proto.lcrEntries = opts.log.lcrEntries;
-        std::uint64_t optionsFp = fingerprintMachineOptions(proto);
-        return [prog, &opts, &workload, seed_base, &overlay, &progFp,
-                optionsFp](std::uint64_t i) {
-            MachineOptions machineOpts =
-                workload.forRun(seed_base + i);
-            machineOpts.lbrEntries = opts.log.lbrEntries;
-            machineOpts.lcrEntries = opts.log.lcrEntries;
-            machineOpts.dispatch = opts.dispatch;
-            return memoizedRun(prog, overlay, progFp, optionsFp,
-                               machineOpts);
-        };
-    };
-    auto failureRunner = makeRunner(failing, 0);
-
-    // 2. Observe failures; the first one pins the failure site.
-    bool haveSite = false;
-    std::uint32_t faultInstr = 0;
-    std::uint64_t attempt = 0;
-    std::uint64_t failingRunsSeen = 0;
-
-    // Give up early if failures reproduce but never carry a profile
-    // at a usable site (silent-corruption bugs).
-    auto shouldGiveUp = [&] {
-        return failingRunsSeen >=
-                   std::uint64_t{5} * opts.failureProfiles + 20 &&
-               result.failureRunsUsed == 0;
-    };
-
-    // 2a. Pin search: attempts run with the pre-pin instrumentation
-    // until the first failure with a usable site stops the batch.
-    std::optional<RunResult> pinRun;
-    if (opts.failureProfiles > 0) {
-        obs::TraceSpan pinSpan(obs::TraceCategory::Diag,
-                               obs::TraceId::DiagPinSearch);
-        pool.runOrdered(
-            0, opts.maxAttempts, failureRunner,
-            [&](std::uint64_t i, RunResult &&run) {
-                if (shouldGiveUp())
-                    return false;
-                attempt = i + 1;
-                if (!failing.isFailure(run))
-                    return true;
-                ++failingRunsSeen;
-                // Silent failures (no fail-stop, no checkpoint hint)
-                // leave no profiling location at all — the
-                // Apache5/Cherokee/JS2 class.
-                if (!run.failure && !failing.failureSiteHint)
-                    return true;
-                pinRun = std::move(run);
-                return false;
-            });
-    }
-
-    if (pinRun) {
-        const RunResult &run = *pinRun;
-        LogSiteId site = kSegfaultSite;
-        if (run.failure)
-            site = run.failure->site;
-        else if (failing.failureSiteHint)
-            site = *failing.failureSiteHint;
-
-        haveSite = true;
-        result.site = site;
-        if (run.failure)
-            faultInstr = run.failure->instrIndex;
-        // Reactive scheme: now that the failure location is known,
-        // instrument its success site (a code patch, or dynamic
-        // binary rewriting on the deployed binary). Only the O(sites)
-        // overlay is touched — the pool drained before we got here,
-        // and the next batch picks up the republished plan.
-        bool reprofiled = false;
-        if (opts.scheme == transform::SuccessSiteScheme::Reactive) {
-            const std::uint64_t prePinFp = progFp;
-            obs::TraceSpan reinstr(obs::TraceCategory::Diag,
-                                   obs::TraceId::DiagReinstrument,
-                                   result.site);
-            if (result.site == kSegfaultSite) {
-                transform::applySuccessSites(
-                    *prog, plan, cfg, lbr,
-                    transform::SuccessSiteScheme::Reactive,
-                    kSegfaultSite, faultInstr);
-            } else {
-                transform::applySuccessSites(
-                    *prog, plan, cfg, lbr,
-                    transform::SuccessSiteScheme::Reactive,
-                    result.site);
-            }
-            publishOverlay();
-            // Checkpointed re-profile: replay the pinning seed under
-            // the just-published plan, resuming from its newest
-            // pre-failure checkpoint (recorded under the PRE-pin
-            // program fingerprint — the plan swap does not perturb
-            // the trajectory, see AutoDiagOptions). Its profile
-            // replaces the pin run's pre-pin profile below; the
-            // resumed result is plan-B-observed under a plan-A
-            // prefix, so it must never enter the run cache.
-            if (opts.checkpointReprofile) {
-                MachineOptions pinOpts = failing.forRun(attempt - 1);
-                pinOpts.lbrEntries = opts.log.lbrEntries;
-                pinOpts.lcrEntries = opts.log.lcrEntries;
-                pinOpts.dispatch = opts.dispatch;
-                RunKey pinKey{prePinFp,
-                              fingerprintMachineOptions(pinOpts),
-                              pinOpts.sched.seed};
-                MachineCheckpointPtr base;
-                SnapshotStore *snapshots = globalSnapshotStore();
-                if (snapshots)
-                    base = snapshots->latestAtOrBefore(
-                        pinKey, ~std::uint64_t{0});
-                std::unique_ptr<Machine> machine;
-                if (base) {
-                    snapshots->noteRestore(base);
-                    machine = std::make_unique<Machine>(
-                        prog, pinOpts, overlay, base);
-                } else {
-                    machine = std::make_unique<Machine>(
-                        prog, pinOpts, overlay);
-                }
-                RunResult replay = machine->run();
-                const ProfileRecord *profile =
-                    pickProfile(replay, kind, site, false);
-                if (failing.isFailure(replay) && profile) {
-                    ranker.addFailureProfile(eventsOf(*profile));
-                    ++result.failureRunsUsed;
-                    reprofiled = true;
-                }
-            }
-        }
-        if (!reprofiled) {
-            const ProfileRecord *profile =
-                pickProfile(run, kind, site, false);
-            if (profile) {
-                ranker.addFailureProfile(eventsOf(*profile));
-                ++result.failureRunsUsed;
-            }
-        }
-        pinRun.reset();
-    }
-
-    // 2b. Collect the remaining failure profiles with the (possibly
-    // re-instrumented) program.
-    if (haveSite && result.failureRunsUsed < opts.failureProfiles &&
-        attempt < opts.maxAttempts) {
-        obs::TraceSpan collectSpan(obs::TraceCategory::Diag,
-                                   obs::TraceId::DiagFailureCollect);
-        pool.runOrdered(
-            attempt, opts.maxAttempts - attempt, failureRunner,
-            [&](std::uint64_t i, RunResult &&run) {
-                if (result.failureRunsUsed >= opts.failureProfiles)
-                    return false;
-                if (shouldGiveUp())
-                    return false;
-                attempt = i + 1;
-                if (!failing.isFailure(run))
-                    return true;
-                ++failingRunsSeen;
-                if (!run.failure && !failing.failureSiteHint)
-                    return true;
-                LogSiteId site = kSegfaultSite;
-                if (run.failure)
-                    site = run.failure->site;
-                else if (failing.failureSiteHint)
-                    site = *failing.failureSiteHint;
-                if (site != result.site)
-                    return true; // a different failure; diagnosed
-                                 // separately
-                // Crashes are distinguished by faulting location: a
-                // crash at a different instruction is a different
-                // failure.
-                if (site == kSegfaultSite && run.failure &&
-                    run.failure->instrIndex != faultInstr) {
-                    return true;
-                }
-                const ProfileRecord *profile =
-                    pickProfile(run, kind, site, false);
-                if (!profile)
-                    return true;
-                ranker.addFailureProfile(eventsOf(*profile));
-                ++result.failureRunsUsed;
-                return true;
-            });
-    }
-    result.failureAttempts = attempt;
-    if (!haveSite || result.failureRunsUsed == 0)
+    result.site = campaign.site;
+    result.failureRunsUsed = campaign.failureRunsUsed;
+    result.failureAttempts = campaign.failureAttempts;
+    result.successRunsUsed = campaign.successRunsUsed;
+    result.successAttempts = campaign.successAttempts;
+    if (result.failureRunsUsed == 0 || result.successRunsUsed == 0)
         return result;
 
-    // 3. Collect success-run profiles at the same site.
-    std::uint64_t successAttempt = 0;
-    if (opts.successProfiles > 0) {
-        obs::TraceSpan collectSpan(obs::TraceCategory::Diag,
-                                   obs::TraceId::DiagSuccessCollect);
-        auto successRunner = makeRunner(succeeding, 1000000);
-        pool.runOrdered(
-            0, opts.maxAttempts, successRunner,
-            [&](std::uint64_t i, RunResult &&run) {
-                if (result.successRunsUsed >= opts.successProfiles)
-                    return false;
-                successAttempt = i + 1;
-                if (succeeding.isFailure(run))
-                    return true;
-                const ProfileRecord *profile =
-                    pickProfile(run, kind, result.site, true);
-                if (!profile)
-                    return true;
-                ranker.addSuccessProfile(eventsOf(*profile));
-                ++result.successRunsUsed;
-                return true;
-            });
-    }
-    result.successAttempts = successAttempt;
-    if (result.successRunsUsed == 0)
-        return result;
-
-    // 4. Rank.
-    {
-        obs::TraceSpan rankSpan(obs::TraceCategory::Diag,
-                                obs::TraceId::DiagRank,
-                                result.failureRunsUsed +
-                                    result.successRunsUsed);
-        result.ranking = ranker.rank(opts.absencePredicates);
-    }
+    obs::TraceSpan rankSpan(obs::TraceCategory::Diag,
+                            obs::TraceId::DiagRank,
+                            result.failureRunsUsed +
+                                result.successRunsUsed);
+    result.ranking = ranker.rank(opts.absencePredicates);
     result.diagnosed = true;
     return result;
 }

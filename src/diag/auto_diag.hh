@@ -9,7 +9,8 @@
  * handful of failure-run and success-run profiles — the paper uses
  * just 10 + 10, which is the source of its diagnosis-latency
  * advantage over sampling approaches — and rank events with the
- * statistical model.
+ * statistical model. The collection is the shared campaign engine
+ * (diag/campaign.hh); this layer feeds its profiles to a Ranker.
  */
 
 #ifndef STM_DIAG_AUTO_DIAG_HH
@@ -18,61 +19,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "diag/log_enhance.hh"
-#include "diag/ranker.hh"
-#include "diag/workload.hh"
-#include "program/transform.hh"
+#include "diag/campaign.hh"
+#include "diag/scoring.hh"
 
 namespace stm
 {
-
-/** Configuration of one LBRA/LCRA diagnosis. */
-struct AutoDiagOptions
-{
-    /** Success-site collection scheme (Section 5.2). */
-    transform::SuccessSiteScheme scheme =
-        transform::SuccessSiteScheme::Reactive;
-    /** Failure-run profiles to gather (the paper uses 10). */
-    std::uint32_t failureProfiles = 10;
-    /** Success-run profiles to gather (the paper uses 10). */
-    std::uint32_t successProfiles = 10;
-    /** Underlying LBRLOG/LCRLOG configuration. */
-    LogEnhanceOptions log;
-    /**
-     * Also score absence predicates ("the profile does NOT contain
-     * e"); needed for read-too-early order violations under the
-     * space-saving LCR configuration (Section 4.2.2).
-     */
-    bool absencePredicates = false;
-    /** Budget of runs before giving up. */
-    std::uint64_t maxAttempts = 50000;
-    /**
-     * Reactive scheme only: after re-instrumentation, re-profile the
-     * seed that pinned the failure site under the new plan by
-     * resuming from its newest recorded checkpoint (falling back to
-     * a scratch re-run when the SnapshotStore holds none) — an O(√T)
-     * harvest of a post-pin failure profile instead of waiting for a
-     * fresh seed to reproduce the failure. Sound because LBRA/LCRA
-     * hooks never draw RNG or retire steps, so the plan swap leaves
-     * the replayed trajectory bit-identical (DESIGN.md §16); the
-     * resumed result never enters the run cache. Off by default —
-     * the extra profile changes failureRunsUsed accounting.
-     */
-    bool checkpointReprofile = false;
-    /**
-     * Worker threads for run execution (0 = STM_JOBS environment
-     * variable, else hardware concurrency). Any value produces
-     * rankings and attempt counts bit-identical to jobs=1; see
-     * exec/run_pool.hh for the determinism contract.
-     */
-    unsigned jobs = 0;
-    /**
-     * Interpreter dispatch mechanism for every run of the campaign.
-     * Result-invariant (vm/options.hh): any mode produces the same
-     * ranking, so this is a speed knob only.
-     */
-    DispatchMode dispatch = DispatchMode::Auto;
-};
 
 /** Result of one automatic diagnosis. */
 struct AutoDiagResult
@@ -95,7 +46,7 @@ struct AutoDiagResult
     std::size_t
     positionOf(const EventKey &event, bool absence = false) const
     {
-        return StatisticalRanker::positionOf(ranking, event, absence);
+        return scoring::positionOf(ranking, event, absence);
     }
 };
 

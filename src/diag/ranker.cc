@@ -1,36 +1,32 @@
 #include "diag/ranker.hh"
 
+#include "obs/trace.hh"
+
 namespace stm
 {
 
-void
-StatisticalRanker::addFailureProfile(const std::set<EventKey> &events)
+const std::vector<RankedEvent> &
+Ranker::rank(bool include_absence) const
 {
-    ++failures_;
-    for (const auto &e : events)
-        ++tallies_[e].inFailures;
+    if (!cacheValid_ || cachedAbsence_ != include_absence) {
+        obs::TraceSpan rescore(obs::TraceCategory::Fleet,
+                               obs::TraceId::FleetRescore,
+                               tallies_.size());
+        cache_ = scoring::rankTallies(tallies_, failures_, successes_,
+                                      include_absence);
+        cacheValid_ = true;
+        cachedAbsence_ = include_absence;
+    }
+    return cache_;
 }
 
 void
-StatisticalRanker::addSuccessProfile(const std::set<EventKey> &events)
+Ranker::importStats(scoring::SufficientStats stats)
 {
-    ++successes_;
-    for (const auto &e : events)
-        ++tallies_[e].inSuccesses;
-}
-
-std::vector<RankedEvent>
-StatisticalRanker::rank(bool include_absence) const
-{
-    return scoring::rankTallies(tallies_, failures_, successes_,
-                                include_absence);
-}
-
-std::size_t
-StatisticalRanker::positionOf(const std::vector<RankedEvent> &ranking,
-                              const EventKey &event, bool absence)
-{
-    return scoring::positionOf(ranking, event, absence);
+    tallies_ = std::move(stats.tallies);
+    failures_ = stats.failures;
+    successes_ = stats.successes;
+    cacheValid_ = false;
 }
 
 } // namespace stm

@@ -14,9 +14,16 @@
  * not encountering a shared state"); the ranker therefore optionally
  * scores absence predicates over the same event universe.
  *
- * The scoring formulas and tie-break order live in diag/scoring.hh,
- * shared with the streaming fleet/incremental_ranker.hh so batch and
- * incremental rankings cannot drift.
+ * One Ranker serves every consumer: the in-process LBRA/LCRA
+ * campaign, the fleet's streaming drain (fleet/fleet_sim.hh holds the
+ * wire-report ingest functions) and the durable collector. Per
+ * profile it updates the sufficient statistics — the per-event
+ * tallies |F&e| and |S&e| plus the profile counts |F| and |S| — in
+ * O(|profile events|); scoring is deferred to rank() and cached until
+ * the next profile, because a new profile changes a denominator and
+ * therefore every event's score at once. The tallies are commutative
+ * counts, so the ranking depends only on the multiset of profiles,
+ * never on their order or on collector sharding.
  */
 
 #ifndef STM_DIAG_RANKER_HH
@@ -33,35 +40,42 @@ namespace stm
 {
 
 /** Accumulates profiles and ranks candidate failure predictors. */
-class StatisticalRanker
+class Ranker
 {
   public:
-    void addFailureProfile(const std::set<EventKey> &events);
-    void addSuccessProfile(const std::set<EventKey> &events);
+    /**
+     * Fold one failure (@p failure) or success profile's event set.
+     * @p events iterates distinct keys: a std::set (the default, so
+     * a braced list works), or a sorted unique vector such as a
+     * durable ReportDigest's.
+     */
+    template <typename Events = std::set<EventKey>>
+    void
+    addProfile(bool failure, const Events &events)
+    {
+        ++(failure ? failures_ : successes_);
+        for (const EventKey &e : events) {
+            scoring::PredictorTally &tally = tallies_[e];
+            ++(failure ? tally.inFailures : tally.inSuccesses);
+        }
+        cacheValid_ = false;
+    }
 
     std::uint64_t failureProfiles() const { return failures_; }
     std::uint64_t successProfiles() const { return successes_; }
 
     /**
      * Rank all events (and, optionally, absence predicates) by
-     * score, descending, with deterministic tie-breaking.
+     * score, descending, with deterministic tie-breaking. Cached:
+     * repeated calls between profiles cost nothing.
      */
-    std::vector<RankedEvent>
+    const std::vector<RankedEvent> &
     rank(bool include_absence = false) const;
-
-    /**
-     * 1-based rank of the predictor for @p event (presence form) in
-     * @p ranking; 0 if it does not appear.
-     */
-    static std::size_t positionOf(const std::vector<RankedEvent> &ranking,
-                                  const EventKey &event,
-                                  bool absence = false);
 
     /**
      * The complete sufficient statistics: everything rank() consumes.
      * importStats(exportStats()) on a fresh ranker reproduces the
-     * identical ranking (shared shape with the fleet's
-     * IncrementalRanker and the durable snapshots).
+     * identical ranking — the durable checkpoint/recovery contract.
      */
     scoring::SufficientStats
     exportStats() const
@@ -70,18 +84,16 @@ class StatisticalRanker
     }
 
     /** Replace all state with @p stats (checkpoint restore). */
-    void
-    importStats(scoring::SufficientStats stats)
-    {
-        tallies_ = std::move(stats.tallies);
-        failures_ = stats.failures;
-        successes_ = stats.successes;
-    }
+    void importStats(scoring::SufficientStats stats);
 
   private:
     scoring::TallyMap tallies_;
     std::uint64_t failures_ = 0;
     std::uint64_t successes_ = 0;
+
+    mutable bool cacheValid_ = false;
+    mutable bool cachedAbsence_ = false;
+    mutable std::vector<RankedEvent> cache_;
 };
 
 } // namespace stm

@@ -1,17 +1,16 @@
 /**
  * @file
- * The statistical scoring math of Section 5.2, shared by the batch
- * `StatisticalRanker` (diag/ranker.hh) and the streaming
- * `IncrementalRanker` (fleet/incremental_ranker.hh).
+ * The statistical scoring math of Section 5.2, used by the Ranker
+ * (diag/ranker.hh) and by merged durable snapshots
+ * (fleet/durable/snapshot.hh).
  *
- * Both rankers reduce their inputs to the same sufficient statistics —
+ * Both reduce their inputs to the same sufficient statistics —
  * per-event tallies |F&e| and |S&e| plus the profile counts |F| and
  * |S| — and this header turns those statistics into scored, ordered
  * predictors. Keeping the formulas (precision |F&e|/|e|, recall
  * |F&e|/|F|, harmonic-mean score) and the deterministic tie-break in
- * exactly one place is what makes the batch/incremental equivalence
- * guarantee a structural property rather than a test-enforced one: the
- * two rankers cannot drift because there is nothing to drift.
+ * exactly one place is what makes a live ranking and a merged
+ * snapshot's ranking equal by construction rather than by test.
  */
 
 #ifndef STM_DIAG_SCORING_HH
@@ -52,14 +51,14 @@ struct PredictorTally
     bool operator==(const PredictorTally &) const = default;
 };
 
-/** The per-event tallies both rankers maintain. */
+/** The per-event tallies a Ranker maintains. */
 using TallyMap = std::map<EventKey, PredictorTally>;
 
 /**
  * The complete sufficient statistics of one ranker: everything
  * rank() consumes, and therefore everything a checkpoint must carry
  * for a restarted or remote ranker to produce the identical ranking.
- * Both rankers export and import this shape (the durable fleet
+ * The Ranker exports and imports this shape (the durable fleet
  * snapshots round-trip through it).
  */
 struct SufficientStats
@@ -156,7 +155,7 @@ rankTallies(const TallyMap &tallies, std::uint64_t failures,
  */
 inline std::size_t
 positionOf(const std::vector<RankedEvent> &ranking,
-           const EventKey &event, bool absence)
+           const EventKey &event, bool absence = false)
 {
     const RankedEvent *found = nullptr;
     for (const auto &r : ranking) {

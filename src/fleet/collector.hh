@@ -36,7 +36,7 @@
  * path never serializes on a stats mutex.
  *
  * The consumer side (`drainViews`, `drainInto`, `drain`) empties all
- * shards in shard order. Because the downstream IncrementalRanker is
+ * shards in shard order. Because the downstream Ranker is
  * order-independent (diag/scoring.hh), the interleaving of producers
  * and the shard count never change the final ranking — asserted for
  * the whole corpus in tests/test_fleet.cc.

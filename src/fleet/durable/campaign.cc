@@ -2,8 +2,35 @@
 
 #include <memory>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 namespace stm::fleet
 {
+
+namespace
+{
+
+/**
+ * Fix glibc's mmap threshold at its 128 KiB default (process-wide,
+ * once). Left dynamic, it rises to the first large block freed, and
+ * later collector arenas, dedup tables and callers' serialize()
+ * images are carved from the brk heap, which keeps their pages after
+ * the free: the same campaigns then peak megabytes apart depending
+ * on what the process allocated before. Snapshot file images skip
+ * malloc altogether (PageBuffer).
+ */
+void
+mapLargeBlocks()
+{
+#ifdef __GLIBC__
+    static const bool pinned = mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+    (void)pinned;
+#endif
+}
+
+} // namespace
 
 std::uint64_t
 campaignHash(std::uint64_t seed, std::uint64_t machine,
@@ -24,6 +51,7 @@ campaignHash(std::uint64_t seed, std::uint64_t machine,
 CampaignPools
 buildCampaignPools(const BugSpec &bug, const FleetOptions &opts)
 {
+    mapLargeBlocks();
     CampaignPools pools;
     FleetCapture capture = captureFleetReports(bug, opts);
     if (!capture.pinned)
@@ -41,16 +69,16 @@ buildCampaignPools(const BugSpec &bug, const FleetOptions &opts)
     // campaign's clones carry these exact event sets, so a campaign
     // that aggregates enough of both report kinds must converge to
     // the same leader.
-    IncrementalRanker reference;
+    Ranker reference;
     for (const RunProfile &r : pools.failures)
-        reference.ingest(r);
+        ingest(reference, r);
     for (const RunProfile &r : pools.successes)
-        reference.ingest(r);
-    const RankedEvent *top = reference.top();
-    if (!top)
+        ingest(reference, r);
+    const std::vector<RankedEvent> &ranking = reference.rank();
+    if (ranking.empty())
         return pools;
-    pools.golden = top->event;
-    pools.goldenAbsence = top->absence;
+    pools.golden = ranking.front().event;
+    pools.goldenAbsence = ranking.front().absence;
     pools.valid = true;
     return pools;
 }
@@ -59,6 +87,7 @@ CampaignResult
 runDurableCampaign(const CampaignPools &pools,
                    const CampaignOptions &opts)
 {
+    mapLargeBlocks();
     CampaignResult result;
     std::uint64_t machines = opts.machines == 0 ? 1 : opts.machines;
     unsigned collectors = opts.collectors == 0 ? 1 : opts.collectors;

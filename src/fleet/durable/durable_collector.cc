@@ -79,10 +79,7 @@ DurableCollector::foldView(const RunProfileView &view,
     if (!inserted)
         return; // cross-restart duplicate already folded
     it->second = digestOfView(view);
-    if (it->second.failure)
-        ranker_.addFailureEvents(it->second.events);
-    else
-        ranker_.addSuccessEvents(it->second.events);
+    ranker_.addProfile(it->second.failure, it->second.events);
 }
 
 void

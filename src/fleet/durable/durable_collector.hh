@@ -1,7 +1,7 @@
 /**
  * @file
  * DurableCollector: the epoched, crash-recoverable shell around the
- * in-memory Collector + IncrementalRanker pair.
+ * in-memory Collector + Ranker pair.
  *
  * Lifecycle of one accepted report:
  *
@@ -18,7 +18,7 @@
  *
  *   pump() ── drain the inner collector's rings: each view folds
  *             into the deduplicated report store (fingerprint →
- *             ReportDigest) and the IncrementalRanker, keyed by the
+ *             ReportDigest) and the Ranker, keyed by the
  *             fingerprint ingest computed for dedup (the ring carries
  *             it, so the payload is hashed once per report).
  *
@@ -61,10 +61,10 @@
 #include <string>
 #include <vector>
 
+#include "diag/ranker.hh"
 #include "fleet/collector.hh"
 #include "fleet/durable/snapshot.hh"
 #include "fleet/durable/wal.hh"
-#include "fleet/incremental_ranker.hh"
 #include "support/stats.hh"
 
 namespace stm::fleet
@@ -160,7 +160,7 @@ class DurableCollector
 
     std::size_t storedReports() const { return store_.size(); }
     const RankerSnapshot::ReportMap &store() const { return store_; }
-    const IncrementalRanker &ranker() const { return ranker_; }
+    const Ranker &ranker() const { return ranker_; }
 
     Collector &inner() { return collector_; }
     const Collector &inner() const { return collector_; }
@@ -187,7 +187,7 @@ class DurableCollector
     std::string dir_;
     std::uint64_t collectorId_;
     Collector collector_;
-    IncrementalRanker ranker_;
+    Ranker ranker_;
     RankerSnapshot::ReportMap store_;
     /** Created after recovery so replay never reads the new segment. */
     std::unique_ptr<WalWriter> wal_;

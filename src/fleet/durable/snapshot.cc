@@ -178,7 +178,14 @@ std::vector<std::uint8_t>
 RankerSnapshot::serialize() const
 {
     std::vector<std::uint8_t> out(encodedSize());
-    std::uint8_t *p = out.data();
+    encodeInto(out.data(), out.size());
+    return out;
+}
+
+void
+RankerSnapshot::encodeInto(std::uint8_t *out, std::size_t size) const
+{
+    std::uint8_t *p = out;
     putLe32(p, kSnapMagic);
     putLe16(p + 4, kSnapVersion);
     putLe16(p + 6, 0); // flags, reserved
@@ -201,10 +208,9 @@ RankerSnapshot::serialize() const
         }
     }
 
-    std::size_t payloadLen = out.size() - kSnapHeaderSize;
-    putLe32(out.data() + 8, static_cast<std::uint32_t>(payloadLen));
-    putLe32(out.data() + 12, snapCrc(out.data(), payloadLen));
-    return out;
+    std::size_t payloadLen = size - kSnapHeaderSize;
+    putLe32(out + 8, static_cast<std::uint32_t>(payloadLen));
+    putLe32(out + 12, snapCrc(out, payloadLen));
 }
 
 SnapStatus
@@ -294,7 +300,10 @@ bool
 RankerSnapshot::writeFile(const std::string &path,
                           std::size_t *bytes_out) const
 {
-    std::vector<std::uint8_t> bytes = serialize();
+    // The image goes through its own mapping, not the heap (see
+    // PageBuffer): snapshots run to megabytes and live only here.
+    PageBuffer bytes(encodedSize());
+    encodeInto(bytes.data(), bytes.size());
     if (bytes_out)
         *bytes_out = bytes.size();
     std::string tmp = path + ".tmp";
@@ -318,7 +327,7 @@ SnapStatus
 RankerSnapshot::readFile(const std::string &path,
                          RankerSnapshot *out)
 {
-    std::vector<std::uint8_t> bytes;
+    PageBuffer bytes;
     if (!readWholeFile(path, &bytes))
         return SnapStatus::Truncated;
     return deserialize(bytes.data(), bytes.size(), out);

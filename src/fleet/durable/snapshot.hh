@@ -3,7 +3,7 @@
  * RankerSnapshot: the immutable, mergeable compaction of a
  * collector's diagnosis state at an epoch boundary.
  *
- * The IncrementalRanker's sufficient statistics — per-event tallies
+ * The Ranker's sufficient statistics — per-event tallies
  * |F&e| / |S&e| plus the profile counts |F| / |S| — are *additive*
  * but not *mergeable*: two collectors that both saw the same report
  * (gossip, at-least-once cross-site delivery) would double-count it
@@ -146,16 +146,15 @@ class RankerSnapshot
 
     /**
      * The sufficient statistics the snapshot projects to: exactly
-     * what IncrementalRanker::importStats() accepts, derived by
-     * folding every digest. Two snapshots with equal report maps
+     * what Ranker::importStats() accepts, derived by folding every
+     * digest. Two snapshots with equal report maps
      * yield equal statistics.
      */
     scoring::SufficientStats sufficientStats() const;
 
     /**
-     * Rank the snapshot's reports (identical to an
-     * IncrementalRanker that ingested each deduplicated report
-     * exactly once).
+     * Rank the snapshot's reports (identical to a Ranker that
+     * ingested each deduplicated report exactly once).
      */
     std::vector<RankedEvent> rank(bool include_absence = false) const;
 
@@ -199,6 +198,9 @@ class RankerSnapshot
     bool operator==(const RankerSnapshot &) const = default;
 
   private:
+    /** Encode into @p out, which holds exactly encodedSize() bytes. */
+    void encodeInto(std::uint8_t *out, std::size_t size) const;
+
     std::uint64_t collectorId_ = 0;
     std::uint64_t epoch_ = 0;
     ReportMap reports_;
@@ -207,8 +209,8 @@ class RankerSnapshot
 /**
  * The digest of one decoded wire report: its event set (sorted,
  * unique) and failure label — the exact reduction both the
- * IncrementalRanker and the snapshot store apply, kept in one place
- * so they cannot drift.
+ * Ranker and the snapshot store apply, kept in one place so they
+ * cannot drift.
  */
 ReportDigest digestOfView(const RunProfileView &view);
 

@@ -257,7 +257,7 @@ replayWalSegment(const std::string &path,
                  const std::function<void(const WalRecord &)> &sink)
 {
     WalReplayResult result;
-    std::vector<std::uint8_t> bytes;
+    PageBuffer bytes;
     if (!readWholeFile(path, &bytes)) {
         result.status = WalStatus::Truncated;
         return result;

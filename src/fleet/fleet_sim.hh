@@ -8,21 +8,19 @@
  *
  * The pipeline per diagnosis:
  *
- *   1. Instrument the program (LBRLOG for sequential entries, LCRLOG
- *      for concurrency entries) exactly as LBRA/LCRA would.
- *   2. Pin the failure site from the first reporting failure; under
- *      the Reactive scheme, re-instrument the success site (the
- *      paper's deployed-binary patch) with the run pool drained.
- *   3. Fan the fleet out on RunPool: attempt i executes on simulated
- *      machine (i mod N) with the workload's seed for i, so the
- *      fleet's behavior is bit-identical for any worker count.
- *   4. Every usable profile becomes a RunProfile, is serialized to a
- *      wire frame, travels through deserialize -> Collector
- *      (sharded, deduplicated, accounted) -> drain -> the
- *      IncrementalRanker.
+ *   1. Capture: the shared campaign engine (diag/campaign.hh)
+ *      instruments, pins the failure site, re-instruments under the
+ *      Reactive scheme, and collects the profiles — exactly the runs
+ *      in-process LBRA/LCRA makes. The fleet's sink tags each profile
+ *      with its machine (attempt i runs on machine i mod N) and
+ *      replay seed, turning it into a RunProfile report.
+ *   2. Transport: every report is serialized to a wire frame and
+ *      travels through the Collector (sharded, deduplicated,
+ *      accounted) -> drain -> the Ranker, via the ingest functions
+ *      below.
  *
- * Because collection decisions replay in strict attempt order
- * (exec/run_pool.hh) and the ranker is order-independent
+ * Because the campaign's decisions replay in strict attempt order
+ * (exec/run_pool.hh) and the Ranker is order-independent
  * (diag/scoring.hh), the resulting ranking matches the in-process
  * LBRA/LCRA diagnosis run with the same profile budget — the fleet
  * adds transport and aggregation, not semantics.
@@ -37,8 +35,8 @@
 
 #include "corpus/bug.hh"
 #include "diag/log_enhance.hh"
+#include "diag/ranker.hh"
 #include "fleet/collector.hh"
-#include "fleet/incremental_ranker.hh"
 #include "program/transform.hh"
 
 namespace stm::fleet
@@ -130,6 +128,20 @@ struct FleetResult
 };
 
 /**
+ * Fold one decoded report into @p ranker: its event set, labelled by
+ * its failure flag.
+ */
+void ingest(Ranker &ranker, const RunProfile &report);
+
+/**
+ * Fold one report straight from its wire view (the collector's
+ * zero-copy drain path): records are decoded register-to-register
+ * into the event set, never materialized into vectors. Tallies
+ * identically to ingest(RunProfile) over the same report.
+ */
+void ingest(Ranker &ranker, const RunProfileView &report);
+
+/**
  * Run the capture phase only: instrument, pin, and gather the fleet's
  * RunProfiles without transport. The reports vector is deterministic
  * for any worker count; the equivalence tests permute/re-shard it.
@@ -139,7 +151,7 @@ FleetCapture captureFleetReports(const BugSpec &bug,
 
 /**
  * Full pipeline: capture, then serialize -> wire -> collector ->
- * incremental ranker. When @p collector is non-null the transport
+ * ranker. When @p collector is non-null the transport
  * runs through it (it must be freshly constructed; its shard count
  * overrides opts.shards), so callers can inspect per-shard metrics
  * afterwards; otherwise an internal collector is used.

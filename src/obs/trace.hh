@@ -50,7 +50,7 @@ constexpr bool kTraceCompiledIn = STM_TRACE_COMPILED != 0;
 enum class TraceCategory : std::uint8_t {
     Vm,    //!< single-run interpreter (Machine)
     Exec,  //!< RunPool execution engine
-    Fleet, //!< collector / incremental ranker
+    Fleet, //!< collector / ranker rescore
     Diag,  //!< LBRA/LCRA pipeline phases
 };
 constexpr std::uint8_t kTraceCategoryCount = 4;
@@ -80,7 +80,7 @@ enum class TraceId : std::uint16_t {
     FleetDrop,        //!< shed under OverflowPolicy::Drop; arg = shard
     FleetDecodeError, //!< frame failed wire validation; arg = status
     FleetDrain,       //!< one drain pass, begin..end; arg = delivered
-    FleetRescore,     //!< IncrementalRanker recompute; arg = events
+    FleetRescore,     //!< Ranker recompute (any caller); arg = events
     // diag
     DiagPinSearch,      //!< failure-site pin search, begin..end
     DiagReinstrument,   //!< reactive success-site re-instrumentation

@@ -15,9 +15,7 @@
  *    replayToStep, byte-budget eviction and oversize rejection,
  *    counter names, and concurrent record/seek under RunPool (the
  *    TSan lane's target);
- *  - run-cache verify-from-checkpoint and the checkpointed reactive
- *    re-profile's ranking identity (instrumentation-invariance,
- *    end to end).
+ *  - run-cache verify-from-checkpoint.
  */
 
 #include <gtest/gtest.h>
@@ -26,12 +24,12 @@
 #include <vector>
 
 #include "corpus/registry.hh"
-#include "diag/auto_diag.hh"
 #include "exec/run_cache.hh"
 #include "exec/run_pool.hh"
 #include "exec/snapshot_store.hh"
 #include "program/builder.hh"
 #include "program/fingerprint.hh"
+#include "program/transform.hh"
 #include "support/random.hh"
 #include "test_util.hh"
 #include "vm/machine.hh"
@@ -537,39 +535,6 @@ TEST(CheckpointWiring, RunCacheVerifiesFromCheckpoint)
     EXPECT_TRUE(second == first);
     EXPECT_GE(store->statsSnapshot().value("restores"), 1u);
     EXPECT_EQ(globalRunCache()->statsSnapshot().value("verified"), 1u);
-}
-
-TEST(CheckpointWiring, ReactiveReprofileKeepsLbrRankingIdentical)
-{
-    // Instrumentation-invariance, end to end: re-profiling the
-    // pinning seed under the reactively re-instrumented plan — resumed
-    // from a checkpoint recorded under the PRE-pin plan — must leave
-    // the LBRA ranking exactly as the from-scratch campaign computes
-    // it (the plan swap adds hooks but never perturbs the trajectory,
-    // and the failure-site profile it harvests is identical).
-    BugSpec bug = corpus::bugById("sort");
-
-    AutoDiagOptions opts;
-    AutoDiagResult plain =
-        runLbra(bug.program, bug.failing, bug.succeeding, opts);
-    ASSERT_TRUE(plain.diagnosed);
-
-    GlobalStoresGuard guard;
-    configureSnapshotStore(true);
-    AutoDiagOptions ckptOpts;
-    ckptOpts.checkpointReprofile = true;
-    AutoDiagResult reprofiled = runLbra(bug.program, bug.failing,
-                                        bug.succeeding, ckptOpts);
-    ASSERT_TRUE(reprofiled.diagnosed);
-
-    EXPECT_EQ(reprofiled.site, plain.site);
-    ASSERT_EQ(reprofiled.ranking.size(), plain.ranking.size());
-    for (std::size_t i = 0; i < plain.ranking.size(); ++i) {
-        EXPECT_EQ(reprofiled.ranking[i].event, plain.ranking[i].event);
-        EXPECT_EQ(reprofiled.ranking[i].absence,
-                  plain.ranking[i].absence);
-        EXPECT_EQ(reprofiled.ranking[i].score, plain.ranking[i].score);
-    }
 }
 
 } // namespace

@@ -72,37 +72,37 @@ TEST(EventKey, EventSetsDeduplicate)
     EXPECT_EQ(eventsOfLbr(records).size(), 1u);
 }
 
-// ---- StatisticalRanker -----------------------------------------------------
+// ---- Ranker ----------------------------------------------------------------
 
 TEST(Ranker, PerfectPredictorScoresOne)
 {
-    StatisticalRanker ranker;
+    Ranker ranker;
     EventKey e = EventKey::sourceBranch(0, true);
     EventKey noise = EventKey::sourceBranch(1, true);
     for (int i = 0; i < 10; ++i)
-        ranker.addFailureProfile({e, noise});
+        ranker.addProfile(true, {e, noise});
     for (int i = 0; i < 10; ++i)
-        ranker.addSuccessProfile({noise});
+        ranker.addProfile(false, {noise});
     auto ranking = ranker.rank();
     ASSERT_FALSE(ranking.empty());
     EXPECT_EQ(ranking[0].event, e);
     EXPECT_DOUBLE_EQ(ranking[0].precision, 1.0);
     EXPECT_DOUBLE_EQ(ranking[0].recall, 1.0);
     EXPECT_DOUBLE_EQ(ranking[0].score, 1.0);
-    EXPECT_EQ(StatisticalRanker::positionOf(ranking, e), 1u);
+    EXPECT_EQ(scoring::positionOf(ranking, e), 1u);
 }
 
 TEST(Ranker, HarmonicMeanFormula)
 {
     // e in 5/10 failures and 0 successes: P=1, R=0.5, F1=2/3.
-    StatisticalRanker ranker;
+    Ranker ranker;
     EventKey e = EventKey::sourceBranch(0, true);
     for (int i = 0; i < 5; ++i)
-        ranker.addFailureProfile({e});
+        ranker.addProfile(true, {e});
     for (int i = 0; i < 5; ++i)
-        ranker.addFailureProfile({});
+        ranker.addProfile(true, {});
     for (int i = 0; i < 10; ++i)
-        ranker.addSuccessProfile({});
+        ranker.addProfile(false, {});
     auto ranking = ranker.rank();
     ASSERT_EQ(ranking.size(), 1u);
     EXPECT_DOUBLE_EQ(ranking[0].precision, 1.0);
@@ -113,12 +113,12 @@ TEST(Ranker, HarmonicMeanFormula)
 TEST(Ranker, PrecisionPenalizesSuccessOccurrences)
 {
     // e in all 10 failures and all 10 successes: P=0.5, R=1.
-    StatisticalRanker ranker;
+    Ranker ranker;
     EventKey e = EventKey::sourceBranch(0, true);
     for (int i = 0; i < 10; ++i)
-        ranker.addFailureProfile({e});
+        ranker.addProfile(true, {e});
     for (int i = 0; i < 10; ++i)
-        ranker.addSuccessProfile({e});
+        ranker.addProfile(false, {e});
     auto ranking = ranker.rank();
     EXPECT_DOUBLE_EQ(ranking[0].precision, 0.5);
     EXPECT_DOUBLE_EQ(ranking[0].recall, 1.0);
@@ -127,14 +127,14 @@ TEST(Ranker, PrecisionPenalizesSuccessOccurrences)
 
 TEST(Ranker, BestPredictorWins)
 {
-    StatisticalRanker ranker;
+    Ranker ranker;
     EventKey good = EventKey::sourceBranch(0, true);
     EventKey meh = EventKey::sourceBranch(1, true);
     for (int i = 0; i < 10; ++i)
-        ranker.addFailureProfile({good, meh});
+        ranker.addProfile(true, {good, meh});
     for (int i = 0; i < 10; ++i)
-        ranker.addSuccessProfile(i < 5 ? std::set<EventKey>{meh}
-                                       : std::set<EventKey>{});
+        ranker.addProfile(false, i < 5 ? std::set<EventKey>{meh}
+                                        : std::set<EventKey>{});
     auto ranking = ranker.rank();
     EXPECT_EQ(ranking[0].event, good);
     EXPECT_GT(ranking[0].score, ranking[1].score);
@@ -144,47 +144,47 @@ TEST(Ranker, AbsencePredicates)
 {
     // e appears in every success and never in failures: the absence
     // of e predicts failure perfectly (Section 4.2.2's Conf1 case).
-    StatisticalRanker ranker;
+    Ranker ranker;
     EventKey e = EventKey::coherence(1, MesiState::Shared, false);
     for (int i = 0; i < 10; ++i)
-        ranker.addFailureProfile({});
+        ranker.addProfile(true, {});
     for (int i = 0; i < 10; ++i)
-        ranker.addSuccessProfile({e});
+        ranker.addProfile(false, {e});
     auto ranking = ranker.rank(/*include_absence=*/true);
     ASSERT_EQ(ranking.size(), 2u);
     EXPECT_TRUE(ranking[0].absence);
     EXPECT_DOUBLE_EQ(ranking[0].score, 1.0);
     EXPECT_EQ(
-        StatisticalRanker::positionOf(ranking, e, /*absence=*/true),
+        scoring::positionOf(ranking, e, /*absence=*/true),
         1u);
     EXPECT_GT(
-        StatisticalRanker::positionOf(ranking, e, /*absence=*/false),
+        scoring::positionOf(ranking, e, /*absence=*/false),
         1u);
 }
 
 TEST(Ranker, CompetitionRankingSharesTies)
 {
-    StatisticalRanker ranker;
+    Ranker ranker;
     EventKey a = EventKey::sourceBranch(0, true);
     EventKey b = EventKey::sourceBranch(1, true);
     EventKey c = EventKey::sourceBranch(2, true);
     for (int i = 0; i < 4; ++i)
-        ranker.addFailureProfile({a, b, c});
+        ranker.addProfile(true, {a, b, c});
     for (int i = 0; i < 4; ++i)
-        ranker.addSuccessProfile({c});
+        ranker.addProfile(false, {c});
     auto ranking = ranker.rank();
     // a and b are perfectly correlated: both rank 1.
-    EXPECT_EQ(StatisticalRanker::positionOf(ranking, a), 1u);
-    EXPECT_EQ(StatisticalRanker::positionOf(ranking, b), 1u);
-    EXPECT_EQ(StatisticalRanker::positionOf(ranking, c), 3u);
+    EXPECT_EQ(scoring::positionOf(ranking, a), 1u);
+    EXPECT_EQ(scoring::positionOf(ranking, b), 1u);
+    EXPECT_EQ(scoring::positionOf(ranking, c), 3u);
 }
 
 TEST(Ranker, UnknownEventHasPositionZero)
 {
-    StatisticalRanker ranker;
-    ranker.addFailureProfile({EventKey::sourceBranch(0, true)});
+    Ranker ranker;
+    ranker.addProfile(true, {EventKey::sourceBranch(0, true)});
     auto ranking = ranker.rank();
-    EXPECT_EQ(StatisticalRanker::positionOf(
+    EXPECT_EQ(scoring::positionOf(
                   ranking, EventKey::sourceBranch(9, true)),
               0u);
 }

@@ -19,7 +19,6 @@
 #include "diag/ranker.hh"
 #include "fleet/collector.hh"
 #include "fleet/fleet_sim.hh"
-#include "fleet/incremental_ranker.hh"
 #include "fleet/wire_format.hh"
 #include "isa/types.hh"
 #include "support/random.hh"
@@ -32,7 +31,6 @@ namespace
 
 using fleet::Collector;
 using fleet::CollectorOptions;
-using fleet::IncrementalRanker;
 using fleet::IngestStatus;
 using fleet::OverflowPolicy;
 using fleet::RunProfile;
@@ -558,7 +556,7 @@ TEST(Collector, ConcurrentProducersAccountExactly)
               std::size_t{kProducers} * kPerProducer);
 }
 
-// ---- incremental ranker -------------------------------------------------
+// ---- ranker -------------------------------------------------------------
 
 /** Compare two rankings for exact equality, scores included. */
 void
@@ -582,26 +580,26 @@ expectSameRanking(const std::vector<RankedEvent> &a,
     }
 }
 
-/** Batch-rank the reports with the Section 5.2 StatisticalRanker. */
+/**
+ * Batch-rank the reports in order, from their materialized records
+ * (no wire, no collector).
+ */
 std::vector<RankedEvent>
 batchRank(const std::vector<RunProfile> &reports, bool absence)
 {
-    StatisticalRanker ranker;
+    Ranker ranker;
     for (const RunProfile &p : reports) {
         std::set<EventKey> events = p.kind == ProfileKind::Lbr
                                         ? eventsOfLbr(p.lbr)
                                         : eventsOfLcr(p.lcr);
-        if (p.failure)
-            ranker.addFailureProfile(events);
-        else
-            ranker.addSuccessProfile(events);
+        ranker.addProfile(p.failure, events);
     }
     return ranker.rank(absence);
 }
 
 /**
  * Stream the reports through serialize -> collector(shards) ->
- * incremental ranker, in the given order.
+ * ranker, in the given order.
  */
 std::vector<RankedEvent>
 streamRank(const std::vector<RunProfile> &reports, bool absence,
@@ -614,9 +612,9 @@ streamRank(const std::vector<RunProfile> &reports, bool absence,
     for (const RunProfile &p : reports)
         EXPECT_EQ(collector.ingest(fleet::serialize(p)),
                   IngestStatus::Accepted);
-    IncrementalRanker ranker;
+    Ranker ranker;
     collector.drainInto(
-        [&](RunProfile &&p) { ranker.ingest(p); });
+        [&](RunProfile &&p) { fleet::ingest(ranker, p); });
     return ranker.rank(absence);
 }
 
@@ -729,32 +727,55 @@ TEST(Collector, DroppedFingerprintStaysSuppressed)
     EXPECT_EQ(collector.stats().value("duplicates"), 1u);
 }
 
+// Incremental ranking: one Ranker fed report by report, rescored
+// between ingests.
 TEST(IncrementalRanker, CacheInvalidatesOnIngest)
 {
-    IncrementalRanker ranker;
-    ranker.addFailureEvents(
-        std::set<EventKey>{EventKey::sourceBranch(1, true)});
-    ranker.addSuccessEvents(
-        std::set<EventKey>{EventKey::sourceBranch(2, true)});
+    Ranker ranker;
+    ranker.addProfile(true, {EventKey::sourceBranch(1, true)});
+    ranker.addProfile(false, {EventKey::sourceBranch(2, true)});
     const auto &first = ranker.rank();
     ASSERT_EQ(first.size(), 2u);
     EXPECT_EQ(first[0].event, EventKey::sourceBranch(1, true));
     // Same object returned while nothing changed.
     EXPECT_EQ(&ranker.rank(), &first);
 
-    ranker.addFailureEvents(
-        std::set<EventKey>{EventKey::sourceBranch(2, true)});
+    ranker.addProfile(true, {EventKey::sourceBranch(2, true)});
     const auto &second = ranker.rank();
     // Branch 2 now appears in a failure too; recall of branch 1
     // halves and the ordering reflects the new denominators.
     EXPECT_DOUBLE_EQ(second[0].recall, 0.5);
 }
 
+TEST(Ranker, ViewAndProfileIngestExportEqualStats)
+{
+    // The collector's zero-copy drain folds wire views; the durable
+    // and test paths fold materialized RunProfiles. Both must tally
+    // the same report identically.
+    Pcg32 rng(test::testSeed(), 57);
+    Ranker fromViews;
+    Ranker fromProfiles;
+    for (int i = 0; i < 64; ++i) {
+        RunProfile p = randomProfile(rng);
+        std::vector<std::uint8_t> frame = fleet::serialize(p);
+        fleet::RunProfileView view;
+        ASSERT_EQ(fleet::decodeFrameView(frame.data(), frame.size(),
+                                         &view),
+                  WireStatus::Ok);
+        fleet::ingest(fromViews, view);
+        fleet::ingest(fromProfiles, p);
+    }
+    EXPECT_EQ(fromViews.exportStats(), fromProfiles.exportStats());
+    EXPECT_EQ(fromViews.failureProfiles() + fromViews.successProfiles(),
+              64u);
+}
+
 /**
- * The tentpole equivalence guarantee, corpus-wide: for every corpus
- * bug, the streaming pipeline (wire -> sharded collector ->
- * IncrementalRanker) produces exactly the batch StatisticalRanker's
- * ranking, for shuffled ingest orders and for 1/2/3/8 shards.
+ * The streaming equivalence guarantee, corpus-wide: for every corpus
+ * bug, the streaming pipeline (wire -> sharded collector -> view
+ * ingest) produces exactly the ranking of the same reports folded
+ * in order from their records, for shuffled ingest orders and for
+ * 1/2/3/8 shards.
  *
  * Reports are captured from real fleet runs (captureFleetReports);
  * entries whose failures cannot be reproduced within the test budget
@@ -832,7 +853,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * Randomized differential test: the streaming pipeline must equal the
- * batch ranker under *adversarial* transport — every report sent a
+ * in-order batch fold under *adversarial* transport — every report sent a
  * random number of times (duplicates), interleaved with corrupted
  * frames, the whole stream shuffled (out-of-order), and the collector
  * drained into the ranker at random points mid-stream (so rescoring
@@ -882,7 +903,7 @@ TEST(IncrementalRanker, DifferentialUnderAdversarialTransport)
         copts.shards = 1 + rng.nextBounded(4);
         copts.shardCapacity = stream.size() + 1;
         Collector collector(copts);
-        IncrementalRanker ranker;
+        Ranker ranker;
         bool absence = round % 2 == 0;
         std::size_t accepted = 0, duplicates = 0, rejected = 0;
         for (const auto &frame : stream) {
@@ -901,12 +922,12 @@ TEST(IncrementalRanker, DifferentialUnderAdversarialTransport)
             }
             if (rng.nextBool(0.1)) {
                 collector.drainInto(
-                    [&](RunProfile &&p) { ranker.ingest(p); });
+                    [&](RunProfile &&p) { fleet::ingest(ranker, p); });
                 ranker.rank(absence); // interleaved rescore
             }
         }
         collector.drainInto(
-            [&](RunProfile &&p) { ranker.ingest(p); });
+            [&](RunProfile &&p) { fleet::ingest(ranker, p); });
 
         EXPECT_EQ(accepted, distinct.size());
         EXPECT_EQ(duplicates, copies - distinct.size());
@@ -922,25 +943,104 @@ TEST(IncrementalRanker, DifferentialUnderAdversarialTransport)
 
 // ---- fleet sim ----------------------------------------------------------
 
-TEST(FleetSim, MatchesInProcessAutoDiagRanking)
+/** One fleet-vs-in-process identity case. */
+struct IdentityCase
 {
-    BugSpec bug = corpus::bugById("cp");
+    const char *name;
+    const char *bugId;
+    bool lbr;
+    transform::SuccessSiteScheme scheme;
+    bool diagnoses;
+    std::uint64_t maxAttempts = 50000;
+    unsigned jobs = 1;
+};
+
+void
+PrintTo(const IdentityCase &c, std::ostream *os)
+{
+    *os << c.name << "/jobs" << c.jobs;
+}
+
+class FleetSim : public ::testing::TestWithParam<IdentityCase>
+{
+};
+
+/**
+ * The fleet and in-process LBRA/LCRA share one campaign engine: the
+ * same runs, the same pinned site, the same attempt counts and the
+ * same ranking, whatever the symptom, scheme, record kind or worker
+ * count.
+ */
+TEST_P(FleetSim, MatchesInProcessAutoDiagRanking)
+{
+    const IdentityCase &c = GetParam();
+    BugSpec bug = corpus::bugById(c.bugId);
 
     AutoDiagOptions autoOpts;
-    autoOpts.jobs = 1;
+    autoOpts.scheme = c.scheme;
+    autoOpts.absencePredicates = !c.lbr;
+    autoOpts.maxAttempts = c.maxAttempts;
+    autoOpts.jobs = c.jobs;
     AutoDiagResult inProcess =
-        runLbra(bug.program, bug.failing, bug.succeeding, autoOpts);
-    ASSERT_TRUE(inProcess.diagnosed);
+        c.lbr ? runLbra(bug.program, bug.failing, bug.succeeding,
+                        autoOpts)
+              : runLcra(bug.program, bug.failing, bug.succeeding,
+                        autoOpts);
+    ASSERT_EQ(inProcess.diagnosed, c.diagnoses);
+    ASSERT_GT(inProcess.failureRunsUsed, 0u);
 
     fleet::FleetOptions opts;
     opts.machines = 7;
-    opts.jobs = 1;
+    opts.scheme = c.scheme;
+    opts.absencePredicates = !c.lbr;
+    opts.maxAttempts = c.maxAttempts;
+    opts.jobs = c.jobs;
+    opts.kind = c.lbr ? ProfileKind::Lbr : ProfileKind::Lcr;
     fleet::FleetResult viaFleet = fleet::runFleetDiagnosis(bug, opts);
-    ASSERT_TRUE(viaFleet.diagnosed);
+    EXPECT_EQ(viaFleet.diagnosed, c.diagnoses);
 
     expectSameRanking(viaFleet.ranking, inProcess.ranking);
+    EXPECT_EQ(viaFleet.site, inProcess.site);
     EXPECT_EQ(viaFleet.failureAttempts, inProcess.failureAttempts);
+    EXPECT_EQ(viaFleet.successAttempts, inProcess.successAttempts);
+    EXPECT_EQ(viaFleet.failureReports, inProcess.failureRunsUsed);
+    EXPECT_EQ(viaFleet.successReports, inProcess.successRunsUsed);
 }
+
+std::vector<IdentityCase>
+identityCases()
+{
+    using transform::SuccessSiteScheme;
+    const IdentityCase bugs[] = {
+        {"cp_crash", "cp", true, SuccessSiteScheme::Reactive, true},
+        {"rm_log_site", "rm", true, SuccessSiteScheme::Reactive, true},
+        {"rm_proactive", "rm", true, SuccessSiteScheme::Proactive,
+         true},
+        // The proactive scheme cannot cover a crash (Section 5.2):
+        // the failure pins and profiles, but no success run reaches
+        // a success site, so both sides give up after the budget.
+        {"sort_proactive", "sort", true, SuccessSiteScheme::Proactive,
+         false, 300},
+        {"mozilla_js3_lcra", "mozilla-js3", false,
+         SuccessSiteScheme::Reactive, true},
+    };
+    std::vector<IdentityCase> cases;
+    for (const IdentityCase &bug : bugs) {
+        for (unsigned jobs : {1u, 4u}) {
+            IdentityCase c = bug;
+            c.jobs = jobs;
+            cases.push_back(c);
+        }
+    }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Identity, FleetSim, ::testing::ValuesIn(identityCases()),
+    [](const ::testing::TestParamInfo<IdentityCase> &info) {
+        return std::string(info.param.name) + "_jobs" +
+               std::to_string(info.param.jobs);
+    });
 
 TEST(FleetSim, TransportFaultsDoNotChangeTheRanking)
 {

@@ -26,6 +26,7 @@
 #include "fleet/durable/durable_collector.hh"
 #include "fleet/durable/snapshot.hh"
 #include "fleet/durable/wal.hh"
+#include "fleet/fleet_sim.hh"
 #include "support/checksum.hh"
 #include "support/file_io.hh"
 #include "support/logging.hh"
@@ -40,7 +41,6 @@ using fleet::Collector;
 using fleet::CollectorOptions;
 using fleet::DurableCollector;
 using fleet::DurableOptions;
-using fleet::IncrementalRanker;
 using fleet::IngestStatus;
 using fleet::RankerSnapshot;
 using fleet::ReportDigest;
@@ -480,7 +480,7 @@ TEST(SnapshotMerge, ShuffledPartitionsMergeBitIdentically)
 
 TEST(SnapshotMerge, MergedRankingEqualsUnionRanker)
 {
-    // Ranking a merged snapshot == an IncrementalRanker fed the union
+    // Ranking a merged snapshot == a Ranker fed the union
     // exactly once (the ranking is a pure function of the
     // deduplicated report set).
     Pcg32 rng(25);
@@ -491,9 +491,9 @@ TEST(SnapshotMerge, MergedRankingEqualsUnionRanker)
                          mapOf({pool.begin() + 10, pool.end()}));
     left.merge(right);
 
-    IncrementalRanker reference;
+    Ranker reference;
     for (const RunProfile &p : pool)
-        reference.ingest(p);
+        fleet::ingest(reference, p);
     expectSameRanking(left.rank(false), reference.rank(false));
     expectSameRanking(left.rank(true), reference.rank(true));
 }
@@ -1019,9 +1019,9 @@ TEST(DurableCollector, RecoversThroughATornWalTail)
     second.pump();
     EXPECT_EQ(second.storedReports(), pool.size());
 
-    IncrementalRanker reference;
+    Ranker reference;
     for (const RunProfile &p : pool)
-        reference.ingest(p);
+        fleet::ingest(reference, p);
     expectSameRanking(second.rank(true), reference.rank(true));
 }
 
@@ -1090,20 +1090,25 @@ TEST(RankerStats, ExportImportRoundTripsBothRankers)
 {
     Pcg32 rng(61);
     std::vector<RunProfile> pool = distinctProfiles(rng, 25);
-    IncrementalRanker original;
-    for (const RunProfile &p : pool)
-        original.ingest(p);
+    Ranker original;
+    for (std::size_t i = 0; i + 5 < pool.size(); ++i)
+        fleet::ingest(original, pool[i]);
 
-    IncrementalRanker restored;
+    Ranker restored;
+    restored.rank(true); // a cached ranking importStats must drop
     restored.importStats(original.exportStats());
     expectSameRanking(restored.rank(true), original.rank(true));
-    EXPECT_EQ(restored.failureReports(), original.failureReports());
-    EXPECT_EQ(restored.successReports(), original.successReports());
+    EXPECT_EQ(restored.failureProfiles(), original.failureProfiles());
+    EXPECT_EQ(restored.successProfiles(), original.successProfiles());
+    EXPECT_EQ(restored.exportStats(), original.exportStats());
 
-    StatisticalRanker batch;
-    batch.importStats(original.exportStats());
-    expectSameRanking(batch.rank(true), original.rank(true));
-    EXPECT_EQ(batch.exportStats(), original.exportStats());
+    // Both rankers keep folding identically after the restore.
+    for (std::size_t i = pool.size() - 5; i < pool.size(); ++i) {
+        fleet::ingest(original, pool[i]);
+        fleet::ingest(restored, pool[i]);
+    }
+    expectSameRanking(restored.rank(true), original.rank(true));
+    EXPECT_EQ(restored.exportStats(), original.exportStats());
 }
 
 TEST(RankerStats, SnapshotSufficientStatsMatchTheRanker)
@@ -1111,9 +1116,9 @@ TEST(RankerStats, SnapshotSufficientStatsMatchTheRanker)
     Pcg32 rng(62);
     std::vector<RunProfile> pool = distinctProfiles(rng, 25);
     RankerSnapshot snap(1, 0, mapOf(pool));
-    IncrementalRanker reference;
+    Ranker reference;
     for (const RunProfile &p : pool)
-        reference.ingest(p);
+        fleet::ingest(reference, p);
     EXPECT_EQ(snap.sufficientStats(), reference.exportStats());
 }
 

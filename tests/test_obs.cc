@@ -147,8 +147,14 @@ TEST_F(ObsTest, RingKeepsNewestEvents)
 {
     setTraceCapacity(16);
     setTracingEnabled(true);
-    for (std::uint64_t i = 0; i < 100; ++i)
-        traceInstant(TraceCategory::Vm, TraceId::VmQuantum, i);
+    // The capacity applies to rings created after the call, and this
+    // thread's ring may predate it (an earlier test recorded on it):
+    // record on a fresh thread, whose ring is created now.
+    std::thread recorder([] {
+        for (std::uint64_t i = 0; i < 100; ++i)
+            traceInstant(TraceCategory::Vm, TraceId::VmQuantum, i);
+    });
+    recorder.join();
     setTracingEnabled(false);
 
     std::vector<TraceEvent> events = collectTrace();

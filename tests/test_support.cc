@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -448,7 +449,8 @@ TEST(Checksum, SplitUpdatesMatchOneShot)
 TEST(ReadWholeFile, ReadsEveryByteOfFilesOfAnySize)
 {
     std::string path = ::testing::TempDir() + "stm_read_whole_file";
-    // Empty, smaller than a stream buffer, and several buffers long.
+    // Empty, smaller than a stream buffer or a page, and several
+    // buffers long; into a vector and into a PageBuffer.
     for (std::size_t size : {std::size_t{0}, std::size_t{1},
                              std::size_t{4095}, std::size_t{300001}}) {
         std::vector<std::uint8_t> data(size);
@@ -462,16 +464,24 @@ TEST(ReadWholeFile, ReadsEveryByteOfFilesOfAnySize)
         std::vector<std::uint8_t> got = {0xAA}; // replaced, not appended
         ASSERT_TRUE(readWholeFile(path, &got)) << "size " << size;
         EXPECT_EQ(got, data) << "size " << size;
+        PageBuffer mapped(7); // replaced, not appended
+        ASSERT_TRUE(readWholeFile(path, &mapped)) << "size " << size;
+        ASSERT_EQ(mapped.size(), size);
+        EXPECT_TRUE(std::equal(data.begin(), data.end(), mapped.data()))
+            << "size " << size;
     }
     std::remove(path.c_str());
 }
 
 TEST(ReadWholeFile, MissingFileFailsAndLeavesOutputEmpty)
 {
+    std::string missing = ::testing::TempDir() + "stm_no_such_file_here";
     std::vector<std::uint8_t> got = {1, 2, 3};
-    EXPECT_FALSE(readWholeFile(
-        ::testing::TempDir() + "stm_no_such_file_here", &got));
+    EXPECT_FALSE(readWholeFile(missing, &got));
     EXPECT_TRUE(got.empty());
+    PageBuffer mapped(3);
+    EXPECT_FALSE(readWholeFile(missing, &mapped));
+    EXPECT_EQ(mapped.size(), 0u);
 }
 
 // ---- MpscRing ------------------------------------------------------------

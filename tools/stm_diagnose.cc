@@ -63,7 +63,6 @@ struct CliOptions
     bool checkpointSet = false;       //!< --checkpoint-every given
     std::uint64_t checkpointEvery = 0; //!< 0 = √T spacing
     std::size_t checkpointBytes = 0;  //!< 0 = the store's default
-    bool checkpointReprofile = false; //!< --checkpoint-reprofile
 };
 
 DispatchMode
@@ -130,12 +129,7 @@ usage()
            "                    STM_CHECKPOINT_EVERY env, else off)\n"
         << "  --checkpoint-mb N snapshot-store byte budget in MiB\n"
            "                    (default: STM_CHECKPOINT_MB, else "
-           "256)\n"
-        << "  --checkpoint-reprofile\n"
-           "                    reactive LBRA/LCRA: re-profile the\n"
-           "                    pinning seed under the new plan from\n"
-           "                    its latest checkpoint instead of\n"
-           "                    waiting for a fresh failing seed\n";
+           "256)\n";
 }
 
 bool
@@ -219,8 +213,6 @@ try {
             out->checkpointBytes = std::stoul(v) * std::size_t{1024} *
                                    std::size_t{1024};
             out->checkpointSet = true;
-        } else if (arg == "--checkpoint-reprofile") {
-            out->checkpointReprofile = true;
         } else if (arg == "--help" || arg == "-h") {
             return false;
         } else if (!arg.empty() && arg[0] != '-') {
@@ -285,7 +277,7 @@ main(int argc, char **argv)
         setDefaultJobs(cli.jobs);
     if (cli.runCacheSet)
         configureRunCache(cli.runCache, cli.runCacheBytes);
-    if (cli.checkpointSet || cli.checkpointReprofile)
+    if (cli.checkpointSet)
         configureSnapshotStore(true, cli.checkpointEvery,
                                cli.checkpointBytes);
 
@@ -376,7 +368,6 @@ main(int argc, char **argv)
                           ? transform::SuccessSiteScheme::Proactive
                           : transform::SuccessSiteScheme::Reactive;
         opts.dispatch = cli.dispatch;
-        opts.checkpointReprofile = cli.checkpointReprofile;
         AutoDiagResult result =
             tool == "lbra"
                 ? runLbra(bug.program, bug.failing, bug.succeeding,
