@@ -113,28 +113,33 @@ Collector::countDuplicate(Shard &shard, std::uint64_t print)
 }
 
 IngestStatus
+Collector::refuse(FrameStatus status)
+{
+    obs::traceInstant(obs::TraceCategory::Fleet,
+                      obs::TraceId::FleetDecodeError,
+                      static_cast<std::uint64_t>(status));
+    decodeErrors_.fetch_add(1, std::memory_order_relaxed);
+    decodeErrorBy_[static_cast<std::uint8_t>(status)].fetch_add(
+        1, std::memory_order_relaxed);
+    return IngestStatus::DecodeError;
+}
+
+IngestStatus
 Collector::ingest(const std::uint8_t *data, std::size_t size)
 {
     received_.fetch_add(1, std::memory_order_relaxed);
     if (closed_.load(std::memory_order_acquire))
         return IngestStatus::Closed;
 
-    WireStatus ws = validateFrame(data, size);
-    if (ws != WireStatus::Ok) {
-        obs::traceInstant(obs::TraceCategory::Fleet,
-                          obs::TraceId::FleetDecodeError,
-                          static_cast<std::uint64_t>(ws));
-        decodeErrors_.fetch_add(1, std::memory_order_relaxed);
-        decodeErrorBy_[static_cast<std::uint8_t>(ws)].fetch_add(
-            1, std::memory_order_relaxed);
-        return IngestStatus::DecodeError;
-    }
+    FrameStatus ws = validateFrame(data, size);
+    if (ws != FrameStatus::Ok)
+        return refuse(ws);
 
     // The canonical fingerprint is FNV over the payload encoding, and
     // a validated frame *is* that encoding — hash the bytes in place
     // instead of decoding and re-encoding.
-    std::uint64_t print = fingerprintPayload(data + kWireHeaderSize,
-                                             size - kWireHeaderSize);
+    std::uint64_t print = fingerprintPayload(data + kFrameHeaderSize,
+                                             size - kFrameHeaderSize);
     unsigned shardIndex =
         static_cast<unsigned>(print % shardCount_);
     Shard &shard = *shards_[shardIndex];
@@ -164,10 +169,13 @@ Collector::submit(const RunProfile &profile)
     // reservation back (LIFO, same thread, no intervening reserve).
     ProducerState &prod = localProducer();
     std::size_t frameSize = encodedFrameSize(profile);
+    // The cap ingest() enforces: the drain refuses longer frames.
+    if (frameSize - kFrameHeaderSize > kWireMaxPayload)
+        return refuse(FrameStatus::Malformed);
     FrameDesc desc = acquireFrame(prod, frameSize);
     serializeInto(profile, const_cast<std::uint8_t *>(desc.data));
     std::uint64_t print = fingerprintPayload(
-        desc.data + kWireHeaderSize, frameSize - kWireHeaderSize);
+        desc.data + kFrameHeaderSize, frameSize - kFrameHeaderSize);
 
     unsigned shardIndex =
         static_cast<unsigned>(print % shardCount_);
@@ -268,9 +276,9 @@ Collector::drainViews(const ViewSink &sink)
             // before they crossed the ring, so the structural walk
             // can skip the CRC and enum passes.
             RunProfileView view;
-            WireStatus ws =
+            FrameStatus ws =
                 decodeFrameView(desc.data, desc.len, &view, true);
-            if (ws == WireStatus::Ok)
+            if (ws == FrameStatus::Ok)
                 sink(view, desc.print);
             // Completion doorbell: the frame's bytes are free to be
             // recycled the moment the callback returns.
@@ -331,13 +339,13 @@ Collector::publishAggregateLocked() const
     publish("dropped", dropped_.load(std::memory_order_relaxed));
     publish("blocked", blocked_.load(std::memory_order_relaxed));
     publish("drained", drained_.load(std::memory_order_relaxed));
-    for (std::uint8_t s = 0; s < kWireStatusCount; ++s) {
+    for (std::uint8_t s = 0; s < kFrameStatusCount; ++s) {
         std::uint64_t n =
             decodeErrorBy_[s].load(std::memory_order_relaxed);
         if (n != 0) {
             publish(strfmt("decode_error.{}",
-                           wireStatusName(
-                               static_cast<WireStatus>(s))),
+                           frameStatusName(
+                               static_cast<FrameStatus>(s))),
                     n);
         }
     }

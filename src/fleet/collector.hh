@@ -129,8 +129,8 @@ class Collector
      * Zero-copy producer path: encode @p profile directly into the
      * calling thread's arena and publish an (offset, len) descriptor
      * to the shard ring. No mutex, no intermediate buffer, no frame
-     * byte copy. Same dedup, sharding, overflow, and accounting as
-     * the wire path.
+     * byte copy. Same payload cap, dedup, sharding, overflow, and
+     * accounting as the wire path.
      */
     IngestStatus submit(const RunProfile &profile);
 
@@ -270,6 +270,8 @@ class Collector
     IngestStatus commit(Shard &shard, unsigned shard_index,
                         const FrameDesc &desc);
     void countDuplicate(Shard &shard, std::uint64_t print);
+    /** Count a frame refused with @p status; returns DecodeError. */
+    IngestStatus refuse(FrameStatus status);
     /** Publish helpers; caller holds statsMu_. */
     void publishAggregateLocked() const;
     void publishShardLocked(const Shard &shard) const;
@@ -298,7 +300,7 @@ class Collector
     std::atomic<std::uint64_t> accepted_{0};
     std::atomic<std::uint64_t> duplicates_{0};
     std::atomic<std::uint64_t> decodeErrors_{0};
-    std::atomic<std::uint64_t> decodeErrorBy_[kWireStatusCount]{};
+    std::atomic<std::uint64_t> decodeErrorBy_[kFrameStatusCount]{};
     std::atomic<std::uint64_t> dropped_{0};
     std::atomic<std::uint64_t> blocked_{0};
     std::atomic<std::uint64_t> drained_{0};

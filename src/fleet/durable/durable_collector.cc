@@ -43,7 +43,7 @@ mergeSnapshotDir(const std::string &dir)
     for (const std::string &path : listSnapshotFiles(dir)) {
         RankerSnapshot snap;
         if (RankerSnapshot::readFile(path, &snap) !=
-            SnapStatus::Ok) {
+            FrameStatus::Ok) {
             ++result.filesSkipped;
             continue;
         }
@@ -96,7 +96,7 @@ DurableCollector::recover()
     for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
         if (it->rfind(prefix, 0) != 0)
             continue;
-        if (RankerSnapshot::readFile(*it, &snap) == SnapStatus::Ok) {
+        if (RankerSnapshot::readFile(*it, &snap) == FrameStatus::Ok) {
             haveSnap = true;
             break;
         }
@@ -125,7 +125,7 @@ DurableCollector::recover()
             }
             RunProfileView view;
             if (decodeFrameView(rec.frame.data(), rec.frame.size(),
-                                &view) != WireStatus::Ok) {
+                                &view) != FrameStatus::Ok) {
                 return; // WAL CRC passed but frame is hostile: skip
             }
             // No ring here to carry an ingest fingerprint: hash.

@@ -98,7 +98,7 @@ struct RecoveryReport
     std::uint64_t walRecordsReplayed = 0; //!< records past the snapshot
     std::uint64_t walRecordsCovered = 0;  //!< records the snapshot covered
     std::uint64_t resumedEpoch = 0;
-    WalStatus walTail = WalStatus::Ok; //!< why WAL replay stopped
+    FrameStatus walTail = FrameStatus::Ok; //!< why WAL replay stopped
 };
 
 /** Epoched, WAL-backed, snapshot-compacting collector. */

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "diag/event_key.hh"
-#include "support/checksum.hh"
 #include "support/file_io.hh"
 
 namespace stm::fleet
@@ -15,61 +13,6 @@ namespace stm::fleet
 namespace
 {
 
-/** Explicit little-endian helpers (the disk format is LE, like the
- * wire). Neither stores nor loads bound-check — callers own the
- * arithmetic. */
-void
-putLe16(std::uint8_t *p, std::uint16_t v)
-{
-    p[0] = static_cast<std::uint8_t>(v);
-    p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-
-void
-putLe32(std::uint8_t *p, std::uint32_t v)
-{
-    putLe16(p, static_cast<std::uint16_t>(v));
-    putLe16(p + 2, static_cast<std::uint16_t>(v >> 16));
-}
-
-void
-putLe64(std::uint8_t *p, std::uint64_t v)
-{
-    putLe32(p, static_cast<std::uint32_t>(v));
-    putLe32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint16_t
-getLe16(const std::uint8_t *p)
-{
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t
-getLe32(const std::uint8_t *p)
-{
-    return getLe16(p) |
-           (static_cast<std::uint32_t>(getLe16(p + 2)) << 16);
-}
-
-std::uint64_t
-getLe64(const std::uint8_t *p)
-{
-    return getLe32(p) |
-           (static_cast<std::uint64_t>(getLe32(p + 4)) << 32);
-}
-
-/** CRC domain: version + flags + payload (bytes [4,12) + payload),
- * the same partition as the wire frame's. */
-std::uint32_t
-snapCrc(const std::uint8_t *file, std::size_t payload_len)
-{
-    std::uint32_t c = crc32Init();
-    c = crc32Update(c, file + 4, 8);
-    c = crc32Update(c, file + kSnapHeaderSize, payload_len);
-    return crc32Final(c);
-}
-
 /** Fixed payload prefix: collectorId u64 + epoch u64 + count u64. */
 constexpr std::size_t kPrefixSize = 24;
 /** Per-report header: fingerprint u64 + failure u8 + eventCount u32. */
@@ -77,26 +20,6 @@ constexpr std::size_t kReportHeaderSize = 13;
 constexpr std::size_t kEventSize = 17; // type u8 + a u64 + b u64
 
 } // namespace
-
-std::string
-snapStatusName(SnapStatus status)
-{
-    switch (status) {
-      case SnapStatus::Ok:
-        return "ok";
-      case SnapStatus::Truncated:
-        return "truncated";
-      case SnapStatus::BadMagic:
-        return "bad-magic";
-      case SnapStatus::BadVersion:
-        return "bad-version";
-      case SnapStatus::BadCrc:
-        return "bad-crc";
-      case SnapStatus::Malformed:
-        return "malformed";
-    }
-    return "unknown";
-}
 
 ReportDigest
 digestOfView(const RunProfileView &view)
@@ -168,7 +91,7 @@ RankerSnapshot::rank(bool include_absence) const
 std::size_t
 RankerSnapshot::encodedSize() const
 {
-    std::size_t size = kSnapHeaderSize + kPrefixSize;
+    std::size_t size = kFrameHeaderSize + kPrefixSize;
     for (const auto &[fp, d] : reports_)
         size += kReportHeaderSize + kEventSize * d.events.size();
     return size;
@@ -185,115 +108,79 @@ RankerSnapshot::serialize() const
 void
 RankerSnapshot::encodeInto(std::uint8_t *out, std::size_t size) const
 {
-    std::uint8_t *p = out;
-    putLe32(p, kSnapMagic);
-    putLe16(p + 4, kSnapVersion);
-    putLe16(p + 6, 0); // flags, reserved
-    p += kSnapHeaderSize; // payloadLen and crc are patched below
-
-    putLe64(p, collectorId_);
-    putLe64(p + 8, epoch_);
-    putLe64(p + 16, reports_.size());
-    p += kPrefixSize;
+    RawSink sink{out + kFrameHeaderSize};
+    Writer<RawSink> w(sink);
+    w.u64(collectorId_);
+    w.u64(epoch_);
+    w.u64(reports_.size());
     for (const auto &[fp, d] : reports_) {
-        putLe64(p, fp);
-        p[8] = d.failure ? 1 : 0;
-        putLe32(p + 9, static_cast<std::uint32_t>(d.events.size()));
-        p += kReportHeaderSize;
+        w.u64(fp);
+        w.u8(d.failure ? 1 : 0);
+        w.u32(static_cast<std::uint32_t>(d.events.size()));
         for (const EventKey &e : d.events) {
-            p[0] = static_cast<std::uint8_t>(e.type);
-            putLe64(p + 1, e.a);
-            putLe64(p + 9, e.b);
-            p += kEventSize;
+            w.u8(static_cast<std::uint8_t>(e.type));
+            w.u64(e.a);
+            w.u64(e.b);
         }
     }
-
-    std::size_t payloadLen = size - kSnapHeaderSize;
-    putLe32(out + 8, static_cast<std::uint32_t>(payloadLen));
-    putLe32(out + 12, snapCrc(out, payloadLen));
+    sealFrame(kSnapFrame, out, size - kFrameHeaderSize);
 }
 
-SnapStatus
+FrameStatus
 RankerSnapshot::deserialize(const std::uint8_t *data,
                             std::size_t size, RankerSnapshot *out)
 {
-    if (size < kSnapHeaderSize)
-        return SnapStatus::Truncated;
-    if (getLe32(data) != kSnapMagic)
-        return SnapStatus::BadMagic;
-    // Version before CRC: a future version may define a different
-    // checksum domain.
-    if (getLe16(data + 4) != kSnapVersion)
-        return SnapStatus::BadVersion;
-    std::uint32_t payloadLen = getLe32(data + 8);
-    if (payloadLen > size - kSnapHeaderSize)
-        return SnapStatus::Truncated;
-    if (payloadLen < size - kSnapHeaderSize)
-        return SnapStatus::Malformed; // trailing bytes
-    if (snapCrc(data, payloadLen) != getLe32(data + 12))
-        return SnapStatus::BadCrc;
+    std::size_t payloadLen = 0;
+    FrameStatus status =
+        verifyFrame(kSnapFrame, data, size, &payloadLen);
+    if (status != FrameStatus::Ok)
+        return status;
 
-    const std::uint8_t *p = data + kSnapHeaderSize;
-    std::size_t rem = payloadLen;
-    if (rem < kPrefixSize)
-        return SnapStatus::Malformed;
+    FrameReader r(data + kFrameHeaderSize, payloadLen);
     RankerSnapshot snap;
-    snap.collectorId_ = getLe64(p);
-    snap.epoch_ = getLe64(p + 8);
-    std::uint64_t reportCount = getLe64(p + 16);
-    p += kPrefixSize;
-    rem -= kPrefixSize;
-
+    snap.collectorId_ = r.u64();
+    snap.epoch_ = r.u64();
+    std::uint64_t reportCount = r.u64();
     // Every report costs at least its header; reject absurd counts
     // before looping so a hostile header cannot make us spin.
-    if (reportCount > rem / kReportHeaderSize)
-        return SnapStatus::Malformed;
+    if (!r.ok() || reportCount > r.remaining() / kReportHeaderSize)
+        return FrameStatus::Malformed;
 
     std::uint64_t lastFp = 0;
-    for (std::uint64_t r = 0; r < reportCount; ++r) {
-        if (rem < kReportHeaderSize)
-            return SnapStatus::Malformed;
-        std::uint64_t fp = getLe64(p);
-        std::uint8_t failure = p[8];
-        std::uint32_t eventCount = getLe32(p + 9);
-        p += kReportHeaderSize;
-        rem -= kReportHeaderSize;
-        if (failure > 1)
-            return SnapStatus::Malformed;
+    for (std::uint64_t i = 0; i < reportCount; ++i) {
+        std::uint64_t fp = r.u64();
+        std::uint8_t failure = r.u8();
+        std::uint32_t eventCount = r.u32();
+        const std::uint8_t *p = r.take(eventCount, kEventSize);
         // Canonical order is strictly ascending; ties would mean
         // duplicate keys, inversions a non-canonical encoder. Both
         // would break the equal-maps-equal-bytes guarantee.
-        if (r != 0 && fp <= lastFp)
-            return SnapStatus::Malformed;
+        if (!r.ok() || failure > 1 || (i != 0 && fp <= lastFp))
+            return FrameStatus::Malformed;
         lastFp = fp;
-        if (eventCount > rem / kEventSize)
-            return SnapStatus::Malformed;
         ReportDigest d;
         d.failure = failure != 0;
         d.events.reserve(eventCount);
-        for (std::uint32_t i = 0; i < eventCount; ++i) {
-            std::uint8_t type = p[0];
-            if (type > static_cast<std::uint8_t>(
+        for (std::uint32_t k = 0; k < eventCount; ++k, p += kEventSize) {
+            if (p[0] > static_cast<std::uint8_t>(
                            EventKey::Type::Coherence)) {
-                return SnapStatus::Malformed;
+                return FrameStatus::Malformed;
             }
             EventKey e;
-            e.type = static_cast<EventKey::Type>(type);
-            e.a = getLe64(p + 1);
-            e.b = getLe64(p + 9);
+            e.type = static_cast<EventKey::Type>(p[0]);
+            e.a = le::get<std::uint64_t>(p + 1);
+            e.b = le::get<std::uint64_t>(p + 9);
             if (!d.events.empty() && !(d.events.back() < e))
-                return SnapStatus::Malformed; // non-canonical
+                return FrameStatus::Malformed; // non-canonical
             d.events.push_back(e);
-            p += kEventSize;
-            rem -= kEventSize;
         }
         snap.reports_.emplace_hint(snap.reports_.end(), fp,
                                    std::move(d));
     }
-    if (rem != 0)
-        return SnapStatus::Malformed;
+    if (r.remaining() != 0)
+        return FrameStatus::Malformed;
     *out = std::move(snap);
-    return SnapStatus::Ok;
+    return FrameStatus::Ok;
 }
 
 bool
@@ -323,13 +210,13 @@ RankerSnapshot::writeFile(const std::string &path,
     return true;
 }
 
-SnapStatus
+FrameStatus
 RankerSnapshot::readFile(const std::string &path,
                          RankerSnapshot *out)
 {
     PageBuffer bytes;
     if (!readWholeFile(path, &bytes))
-        return SnapStatus::Truncated;
+        return FrameStatus::IoError;
     return deserialize(bytes.data(), bytes.size(), out);
 }
 

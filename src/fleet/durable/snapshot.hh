@@ -24,14 +24,10 @@
  * (tests/test_fleet_durable.cc asserts it across shuffled partitions
  * for 1/2/4/8 collectors).
  *
- * On disk a snapshot is one versioned little-endian CRC-framed file,
- * the same hostile-byte discipline as the wire format (STMP) and the
- * trace format (STMT):
+ * On disk a snapshot is one support/frame_codec frame (magic
+ * "STMS"), the same hostile-byte discipline as the wire and trace
+ * formats. The payload:
  *
- *   [magic "STMS" u32][version u16][flags u16][payloadLen u32]
- *   [crc32 u32][payload]
- *
- *   payload:
  *     collectorId u64      min over merged inputs
  *     epoch u64            max epoch compacted through, inclusive
  *     reportCount u64
@@ -42,14 +38,10 @@
  *       per event, ascending by EventKey:
  *         type u8, a u64, b u64
  *
- * The CRC (IEEE 802.3) covers version, flags, and payload. Decoding
- * is strict and partitioned exactly like WireStatus: unknown versions
- * are rejected before the CRC, truncation and trailing bytes are
- * distinct from bit rot, and structural inconsistencies (counts that
- * overrun, unsorted or duplicate keys — which would break the
- * canonical-encoding guarantee) are Malformed. Because the entry
- * order is canonical, equal snapshots serialize to equal bytes: a
- * coordinator's merged file is bit-identical no matter the merge
+ * Counts that overrun and unsorted or duplicate keys (which would
+ * break the canonical-encoding guarantee) are Malformed. Because the
+ * entry order is canonical, equal snapshots serialize to equal bytes:
+ * a coordinator's merged file is bit-identical no matter the merge
  * order.
  */
 
@@ -67,27 +59,8 @@
 namespace stm::fleet
 {
 
-/** Snapshot file magic: "STMS" (STM Snapshot). */
-constexpr std::uint32_t kSnapMagic = 0x534D5453u;
-
-/** Current snapshot format version. */
-constexpr std::uint16_t kSnapVersion = 1;
-
-/** Fixed snapshot header size in bytes (same shape as the wire). */
-constexpr std::size_t kSnapHeaderSize = 16;
-
-/** Why a snapshot failed to decode (mirrors WireStatus). */
-enum class SnapStatus : std::uint8_t {
-    Ok,
-    Truncated,  //!< fewer bytes than the header + payload claim
-    BadMagic,   //!< not an STMS file
-    BadVersion, //!< version != kSnapVersion
-    BadCrc,     //!< checksum mismatch (bit rot / torn write)
-    Malformed,  //!< structure inconsistent (incl. non-canonical order)
-};
-
-/** Human-readable status name. */
-std::string snapStatusName(SnapStatus status);
+/** Magic "STMS" (STM Snapshot); bump the version on any layout change. */
+constexpr FrameSpec kSnapFrame{0x534D5453u, 1};
 
 /** One deduplicated report, reduced to what the ranker consumes. */
 struct ReportDigest
@@ -172,11 +145,11 @@ class RankerSnapshot
      * on any failure @p out is untouched and the status says why.
      * Never crashes or misreads on hostile bytes.
      */
-    static SnapStatus deserialize(const std::uint8_t *data,
-                                  std::size_t size,
-                                  RankerSnapshot *out);
+    static FrameStatus deserialize(const std::uint8_t *data,
+                                   std::size_t size,
+                                   RankerSnapshot *out);
 
-    static SnapStatus
+    static FrameStatus
     deserialize(const std::vector<std::uint8_t> &bytes,
                 RankerSnapshot *out)
     {
@@ -191,9 +164,9 @@ class RankerSnapshot
     bool writeFile(const std::string &path,
                    std::size_t *bytes_out = nullptr) const;
 
-    /** Read and decode @p path. Missing file reports Truncated. */
-    static SnapStatus readFile(const std::string &path,
-                               RankerSnapshot *out);
+    /** Read and decode @p path. An unreadable file is IoError. */
+    static FrameStatus readFile(const std::string &path,
+                                RankerSnapshot *out);
 
     bool operator==(const RankerSnapshot &) const = default;
 

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <filesystem>
 
-#include "support/checksum.hh"
+#include "fleet/wire_format.hh"
 #include "support/file_io.hh"
 #include "support/logging.hh"
 
@@ -14,47 +14,6 @@ namespace stm::fleet
 
 namespace
 {
-
-void
-putLe16(std::uint8_t *p, std::uint16_t v)
-{
-    p[0] = static_cast<std::uint8_t>(v);
-    p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-
-void
-putLe32(std::uint8_t *p, std::uint32_t v)
-{
-    putLe16(p, static_cast<std::uint16_t>(v));
-    putLe16(p + 2, static_cast<std::uint16_t>(v >> 16));
-}
-
-void
-putLe64(std::uint8_t *p, std::uint64_t v)
-{
-    putLe32(p, static_cast<std::uint32_t>(v));
-    putLe32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint16_t
-getLe16(const std::uint8_t *p)
-{
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t
-getLe32(const std::uint8_t *p)
-{
-    return getLe16(p) |
-           (static_cast<std::uint32_t>(getLe16(p + 2)) << 16);
-}
-
-std::uint64_t
-getLe64(const std::uint8_t *p)
-{
-    return getLe32(p) |
-           (static_cast<std::uint64_t>(getLe32(p + 4)) << 32);
-}
 
 /** Record CRC domain: epoch + frameLen + frame bytes — everything
  * after the record magic except the CRC field itself. */
@@ -68,31 +27,11 @@ walRecordCrc(const std::uint8_t *header, const std::uint8_t *frame,
     return crc32Final(c);
 }
 
-/** A frame larger than this is a corrupt length field, not a real
- * frame: the wire caps payloads far below it. */
-constexpr std::uint32_t kWalMaxFrameLen = 64u << 20;
+/** Longest frame a record may hold: the wire's largest. */
+constexpr std::size_t kWalMaxFrameLen =
+    kFrameHeaderSize + kWireMaxPayload;
 
 } // namespace
-
-std::string
-walStatusName(WalStatus status)
-{
-    switch (status) {
-      case WalStatus::Ok:
-        return "ok";
-      case WalStatus::Truncated:
-        return "truncated";
-      case WalStatus::BadMagic:
-        return "bad-magic";
-      case WalStatus::BadVersion:
-        return "bad-version";
-      case WalStatus::BadCrc:
-        return "bad-crc";
-      case WalStatus::Malformed:
-        return "malformed";
-    }
-    return "unknown";
-}
 
 std::string
 walSegmentPath(const std::string &dir, std::uint64_t collector_id,
@@ -171,10 +110,10 @@ WalWriter::openSegment()
     if (!out_)
         fatal("cannot open WAL segment {}", path);
     std::uint8_t header[kWalSegmentHeaderSize];
-    putLe32(header, kWalMagic);
-    putLe16(header + 4, kWalVersion);
-    putLe16(header + 6, 0); // flags, reserved
-    putLe64(header + 8, collectorId_);
+    le::put(header, kWalMagic);
+    le::put(header + 4, kWalVersion);
+    le::put(header + 6, std::uint16_t{0}); // flags, reserved
+    le::put(header + 8, collectorId_);
     out_.write(reinterpret_cast<const char *>(header),
                sizeof header);
     activeBytes_ = sizeof header;
@@ -188,10 +127,10 @@ WalWriter::append(std::uint64_t epoch, const std::uint8_t *frame,
     if (activeBytes_ >= rotateBytes_)
         openSegment();
     std::uint8_t header[kWalRecordHeaderSize];
-    putLe32(header, kWalRecordMagic);
-    putLe64(header + 4, epoch);
-    putLe32(header + 12, static_cast<std::uint32_t>(size));
-    putLe32(header + 16, walRecordCrc(header, frame, size));
+    le::put(header, kWalRecordMagic);
+    le::put(header + 4, epoch);
+    le::put(header + 12, static_cast<std::uint32_t>(size));
+    le::put(header + 16, walRecordCrc(header, frame, size));
     out_.write(reinterpret_cast<const char *>(header),
                sizeof header);
     out_.write(reinterpret_cast<const char *>(frame),
@@ -253,67 +192,68 @@ WalWriter::prune(std::uint64_t epoch)
 }
 
 WalReplayResult
-replayWalSegment(const std::string &path,
-                 const std::function<void(const WalRecord &)> &sink)
+replayWalBytes(const std::uint8_t *data, std::size_t size,
+               const std::function<void(const WalRecord &)> &sink)
 {
     WalReplayResult result;
-    PageBuffer bytes;
-    if (!readWholeFile(path, &bytes)) {
-        result.status = WalStatus::Truncated;
+    FrameReader r(data, size);
+    const std::uint8_t *seg = r.take(kWalSegmentHeaderSize);
+    if (!seg)
+        result.status = FrameStatus::Truncated;
+    else if (le::get<std::uint32_t>(seg) != kWalMagic)
+        result.status = FrameStatus::BadMagic;
+    else if (le::get<std::uint16_t>(seg + 4) != kWalVersion)
+        result.status = FrameStatus::BadVersion;
+    if (result.status != FrameStatus::Ok)
         return result;
-    }
 
-    const std::uint8_t *data = bytes.data();
-    std::size_t size = bytes.size();
-    if (size < kWalSegmentHeaderSize) {
-        result.status = WalStatus::Truncated;
-        return result;
-    }
-    if (getLe32(data) != kWalMagic) {
-        result.status = WalStatus::BadMagic;
-        return result;
-    }
-    if (getLe16(data + 4) != kWalVersion) {
-        result.status = WalStatus::BadVersion;
-        return result;
-    }
-
-    std::size_t off = kWalSegmentHeaderSize;
     WalRecord record;
-    while (off < size) {
-        if (size - off < kWalRecordHeaderSize) {
-            result.status = WalStatus::Truncated;
+    while (r.remaining() != 0) {
+        const std::uint8_t *h = r.take(kWalRecordHeaderSize);
+        if (!h) {
+            result.status = FrameStatus::Truncated;
             break;
         }
-        const std::uint8_t *h = data + off;
-        if (getLe32(h) != kWalRecordMagic) {
-            result.status = WalStatus::BadMagic;
+        if (le::get<std::uint32_t>(h) != kWalRecordMagic) {
+            result.status = FrameStatus::BadMagic;
             break;
         }
-        std::uint64_t epoch = getLe64(h + 4);
-        std::uint32_t frameLen = getLe32(h + 12);
+        auto frameLen = le::get<std::uint32_t>(h + 12);
         if (frameLen > kWalMaxFrameLen) {
-            result.status = WalStatus::Malformed;
+            result.status = FrameStatus::Malformed;
             break;
         }
-        if (size - off - kWalRecordHeaderSize < frameLen) {
-            result.status = WalStatus::Truncated;
+        const std::uint8_t *frame = r.take(frameLen);
+        if (!frame) {
+            result.status = FrameStatus::Truncated;
             break;
         }
-        const std::uint8_t *frame = h + kWalRecordHeaderSize;
-        if (walRecordCrc(h, frame, frameLen) != getLe32(h + 16)) {
-            result.status = WalStatus::BadCrc;
+        if (walRecordCrc(h, frame, frameLen) !=
+            le::get<std::uint32_t>(h + 16)) {
+            result.status = FrameStatus::BadCrc;
             break;
         }
-        record.epoch = epoch;
+        record.epoch = le::get<std::uint64_t>(h + 4);
         record.frame.assign(frame, frame + frameLen);
         sink(record);
-        off += kWalRecordHeaderSize + frameLen;
         ++result.records;
         result.bytes += kWalRecordHeaderSize + frameLen;
     }
-    result.stopOffset = off;
+    result.stopOffset = kWalSegmentHeaderSize + result.bytes;
     return result;
+}
+
+WalReplayResult
+replayWalSegment(const std::string &path,
+                 const std::function<void(const WalRecord &)> &sink)
+{
+    PageBuffer bytes;
+    if (!readWholeFile(path, &bytes)) {
+        WalReplayResult result;
+        result.status = FrameStatus::IoError;
+        return result;
+    }
+    return replayWalBytes(bytes.data(), bytes.size(), sink);
 }
 
 WalReplayResult
@@ -328,7 +268,7 @@ replayWalDir(const std::string &dir, std::uint64_t collector_id,
         total.bytes += one.bytes;
         total.status = one.status;
         total.stopOffset = one.stopOffset;
-        if (one.status != WalStatus::Ok)
+        if (one.status != FrameStatus::Ok)
             break;
     }
     return total;

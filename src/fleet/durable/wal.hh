@@ -22,14 +22,16 @@
  *     [magic "WREC" u32][epoch u64][frameLen u32][crc32 u32]
  *     [frame: frameLen bytes of STMP wire frame]
  *
- * The record CRC covers epoch, frameLen, and the frame bytes. The
- * reader's contract mirrors the wire decoder's hostile-byte
- * discipline with one deliberate difference: a log that stops
- * mid-record is *expected* after a crash (the torn tail), so replay
- * yields every record up to the first invalid byte and then reports
- * *why* it stopped (WalStatus) instead of failing wholesale. The
- * every-byte corruption sweep in tests/test_fleet_durable.cc pins
- * the exact prefix-replay property: corrupt byte in record i =>
+ * The record CRC covers epoch, frameLen, and the frame bytes. A
+ * frameLen over one wire frame's largest size (kWireMaxPayload plus
+ * its header) is Malformed. The reader reads through the
+ * support/frame_codec cursor and mirrors the wire decoder's
+ * hostile-byte discipline with one deliberate difference: a log that
+ * stops mid-record is *expected* after a crash (the torn tail), so
+ * replay yields every record up to the first invalid byte and then
+ * reports *why* it stopped (a FrameStatus) instead of failing
+ * wholesale. The hostile-byte suite in tests/test_frame_codec.cc
+ * pins the exact prefix-replay property: corrupt byte in record i =>
  * records [0, i) replay, nothing after, never a crash, never a
  * misread frame.
  */
@@ -43,6 +45,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include "support/frame_codec.hh"
 
 namespace stm::fleet
 {
@@ -60,19 +64,6 @@ constexpr std::uint16_t kWalVersion = 1;
 constexpr std::size_t kWalSegmentHeaderSize = 16;
 constexpr std::size_t kWalRecordHeaderSize = 20;
 
-/** Why (and how) a WAL read stopped. */
-enum class WalStatus : std::uint8_t {
-    Ok,         //!< clean end of log
-    Truncated,  //!< torn tail: fewer bytes than a header/record claims
-    BadMagic,   //!< segment or record magic mismatch
-    BadVersion, //!< segment version != kWalVersion
-    BadCrc,     //!< record checksum mismatch
-    Malformed,  //!< structurally impossible record
-};
-
-/** Human-readable status name. */
-std::string walStatusName(WalStatus status);
-
 /** One replayed record. */
 struct WalRecord
 {
@@ -85,10 +76,10 @@ struct WalRecord
 /** Outcome of one segment replay. */
 struct WalReplayResult
 {
-    WalStatus status = WalStatus::Ok;
+    FrameStatus status = FrameStatus::Ok; //!< why replay stopped
     std::uint64_t records = 0;  //!< records delivered
     std::uint64_t bytes = 0;    //!< record + frame bytes consumed
-    std::uint64_t stopOffset = 0; //!< file offset replay stopped at
+    std::uint64_t stopOffset = 0; //!< offset replay stopped at
 };
 
 /**
@@ -171,10 +162,14 @@ class WalWriter
 };
 
 /**
- * Replay one segment file: deliver each valid record in order, stop
- * at the first invalid byte and say why. Missing file reports
- * Truncated with zero records. Never throws on file content.
+ * Replay one segment image: deliver each valid record in order, stop
+ * at the first invalid byte and say why. Never throws on content.
  */
+WalReplayResult
+replayWalBytes(const std::uint8_t *data, std::size_t size,
+               const std::function<void(const WalRecord &)> &sink);
+
+/** Replay one segment file; an unreadable file is IoError. */
 WalReplayResult
 replayWalSegment(const std::string &path,
                  const std::function<void(const WalRecord &)> &sink);

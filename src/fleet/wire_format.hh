@@ -11,19 +11,17 @@
  * site plus just enough identity (bug id, machine id, run seed) for
  * the collection service to group, deduplicate, and label it.
  *
- * The encoding is a versioned little-endian binary frame:
+ * The encoding is one support/frame_codec frame (magic "STMP"); this
+ * file owns only the payload schema:
  *
- *   [magic u32][version u16][flags u16][payloadLen u32][crc32 u32]
- *   [payload: payloadLen bytes]
+ *   machineId u64, runSeed u64, bugId (u32 length + bytes),
+ *   failure u8, kind u8, site u32, thread u32, step u64,
+ *   lbrCount u32 + 23-byte records, lcrCount u32 + 10-byte records
  *
- * The CRC (IEEE 802.3 polynomial) covers version, flags, and payload,
- * so any corruption past the magic is detected. Decoding is strict:
- * unknown versions are rejected before the CRC is even checked (a
- * future version may define a different CRC domain), truncated or
- * oversized frames fail cleanly, and malformed payloads (counts that
- * overrun the buffer, trailing bytes) are reported distinctly. A
- * decoder must never crash or misread on hostile bytes — reports
- * cross the network from machines we do not control.
+ * Decoding is strict: payloads over kWireMaxPayload, counts that
+ * overrun the buffer, trailing bytes and out-of-range enum bytes are
+ * Malformed. A decoder must never crash or misread on hostile bytes:
+ * reports cross the network from machines we do not control.
  *
  * Two decode shapes share that discipline:
  *
@@ -33,7 +31,7 @@
  *    frame bytes: scalars are decoded into the view, the LBR/LCR
  *    records stay encoded in place and are unpacked register-to-
  *    register on access. This is the collector's zero-copy drain
- *    path — no allocation, no byte copy, same WireStatus partition
+ *    path — no allocation, no byte copy, same FrameStatus partition
  *    as deserialize() on any input.
  *
  * Producers can also encode without intermediate buffers:
@@ -57,19 +55,22 @@
 #include "hw/lbr.hh"
 #include "hw/lcr.hh"
 #include "support/checksum.hh"
+#include "support/frame_codec.hh"
 #include "vm/run_result.hh"
 
 namespace stm::fleet
 {
 
-/** Frame magic: "STMP" (STM Profile). */
-constexpr std::uint32_t kWireMagic = 0x504D5453u;
+/**
+ * Largest payload a frame may carry. A report is a few hundred bytes,
+ * so a longer length field is corruption or hostility; the WAL reader
+ * refuses longer records with the same bound, so every frame the
+ * collector accepts is one its recovery can replay.
+ */
+constexpr std::uint32_t kWireMaxPayload = 64u << 20;
 
-/** Current wire version; bump on any payload layout change. */
-constexpr std::uint16_t kWireVersion = 1;
-
-/** Fixed frame header size in bytes. */
-constexpr std::size_t kWireHeaderSize = 16;
+/** Magic "STMP" (STM Profile); bump the version on any layout change. */
+constexpr FrameSpec kWireFrame{0x504D5453u, 1, kWireMaxPayload};
 
 /** Encoded sizes of the fixed-width payload pieces. */
 constexpr std::size_t kWireLbrRecordSize = 23;
@@ -99,20 +100,6 @@ struct RunProfile
 
     bool operator==(const RunProfile &) const = default;
 };
-
-/** Why a frame failed to decode. */
-enum class WireStatus : std::uint8_t {
-    Ok,
-    Truncated,  //!< fewer bytes than the header + payload claim
-    BadMagic,   //!< not an STMP frame
-    BadVersion, //!< version != kWireVersion
-    BadCrc,     //!< checksum mismatch (bit rot / tampering)
-    Malformed,  //!< payload structure inconsistent with its length
-};
-constexpr std::uint8_t kWireStatusCount = 6;
-
-/** Human-readable status name. */
-std::string wireStatusName(WireStatus status);
 
 /**
  * Non-owning decoded view of one wire frame. Scalar fields are
@@ -150,9 +137,9 @@ class RunProfileView
     RunProfile materialize() const;
 
   private:
-    friend WireStatus decodeFrameView(const std::uint8_t *,
-                                      std::size_t, RunProfileView *,
-                                      bool);
+    friend FrameStatus decodeFrameView(const std::uint8_t *,
+                                       std::size_t, RunProfileView *,
+                                       bool);
 
     const std::uint8_t *payload_ = nullptr;
     std::size_t payloadLen_ = 0;
@@ -179,7 +166,7 @@ std::size_t encodedPayloadSize(const RunProfile &profile);
 inline std::size_t
 encodedFrameSize(const RunProfile &profile)
 {
-    return kWireHeaderSize + encodedPayloadSize(profile);
+    return kFrameHeaderSize + encodedPayloadSize(profile);
 }
 
 /**
@@ -196,11 +183,11 @@ std::size_t serializeInto(const RunProfile &profile,
  * failure @p out is untouched and the status says why. @p size may
  * exceed the frame (trailing garbage is Malformed, never misread).
  */
-WireStatus deserialize(const std::uint8_t *data, std::size_t size,
-                       RunProfile *out);
+FrameStatus deserialize(const std::uint8_t *data, std::size_t size,
+                        RunProfile *out);
 
 /** Convenience overload. */
-inline WireStatus
+inline FrameStatus
 deserialize(const std::vector<std::uint8_t> &wire, RunProfile *out)
 {
     return deserialize(wire.data(), wire.size(), out);
@@ -208,7 +195,7 @@ deserialize(const std::vector<std::uint8_t> &wire, RunProfile *out)
 
 /**
  * Decode one frame into a non-owning view. Exactly the hostile-byte
- * discipline of deserialize() — identical WireStatus for any input —
+ * discipline of deserialize() — identical FrameStatus for any input —
  * but no allocation and no byte copy; @p out aliases @p data.
  *
  * @p trusted skips the CRC pass and the per-record enum range walk
@@ -216,14 +203,14 @@ deserialize(const std::vector<std::uint8_t> &wire, RunProfile *out)
  * re-decoding frames its own ingest validated); structural bounds
  * are still enforced. Hostile input must always use the default.
  */
-WireStatus decodeFrameView(const std::uint8_t *data, std::size_t size,
-                           RunProfileView *out, bool trusted = false);
+FrameStatus decodeFrameView(const std::uint8_t *data, std::size_t size,
+                            RunProfileView *out, bool trusted = false);
 
 /**
  * Validate one frame without materializing anything: returns exactly
  * the status deserialize() would. The collector's ingest boundary.
  */
-inline WireStatus
+inline FrameStatus
 validateFrame(const std::uint8_t *data, std::size_t size)
 {
     RunProfileView scratch;

@@ -5,197 +5,91 @@
 #include <map>
 #include <sstream>
 
-#include "support/checksum.hh"
 #include "support/file_io.hh"
 
 namespace stm::obs
 {
 
-namespace
-{
-
-/** Explicit little-endian stores/loads (the dump is LE everywhere). */
-void
-putLe16(std::uint8_t *p, std::uint16_t v)
-{
-    p[0] = static_cast<std::uint8_t>(v);
-    p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-
-void
-putLe32(std::uint8_t *p, std::uint32_t v)
-{
-    putLe16(p, static_cast<std::uint16_t>(v));
-    putLe16(p + 2, static_cast<std::uint16_t>(v >> 16));
-}
-
-void
-putLe64(std::uint8_t *p, std::uint64_t v)
-{
-    putLe32(p, static_cast<std::uint32_t>(v));
-    putLe32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint16_t
-getLe16(const std::uint8_t *p)
-{
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t
-getLe32(const std::uint8_t *p)
-{
-    return getLe16(p) |
-           (static_cast<std::uint32_t>(getLe16(p + 2)) << 16);
-}
-
-std::uint64_t
-getLe64(const std::uint8_t *p)
-{
-    return getLe32(p) |
-           (static_cast<std::uint64_t>(getLe32(p + 4)) << 32);
-}
-
-/**
- * CRC of the covered frame region: version + flags + payloadLen
- * (bytes [4, 12)) and the payload, skipping the magic and the CRC
- * field itself — the same domain as the fleet wire frame.
- */
-std::uint32_t
-frameCrc(const std::uint8_t *frame, std::size_t payload_len)
-{
-    std::uint32_t c = crc32Init();
-    c = crc32Update(c, frame + 4, 8);
-    c = crc32Update(c, frame + kTraceHeaderSize, payload_len);
-    return crc32Final(c);
-}
-
-} // namespace
-
-std::string
-traceIoStatusName(TraceIoStatus status)
-{
-    switch (status) {
-      case TraceIoStatus::Ok:
-        return "ok";
-      case TraceIoStatus::Truncated:
-        return "truncated";
-      case TraceIoStatus::BadMagic:
-        return "bad-magic";
-      case TraceIoStatus::BadVersion:
-        return "bad-version";
-      case TraceIoStatus::BadCrc:
-        return "bad-crc";
-      case TraceIoStatus::Malformed:
-        return "malformed";
-      case TraceIoStatus::IoError:
-        return "io-error";
-    }
-    return "unknown";
-}
-
 std::vector<std::uint8_t>
 encodeTrace(const std::vector<TraceEvent> &events)
 {
-    std::vector<std::uint8_t> frame(kTraceHeaderSize + 4 +
-                                    kTraceEventSize * events.size());
-    std::uint8_t *p = frame.data() + kTraceHeaderSize;
-    putLe32(p, static_cast<std::uint32_t>(events.size()));
-    p += 4;
+    std::size_t payloadLen = 4 + kTraceEventSize * events.size();
+    std::vector<std::uint8_t> frame(kFrameHeaderSize + payloadLen);
+    RawSink sink{frame.data() + kFrameHeaderSize};
+    Writer<RawSink> w(sink);
+    w.u32(static_cast<std::uint32_t>(events.size()));
     for (const TraceEvent &e : events) {
-        putLe64(p, e.tsc);
-        putLe32(p + 8, e.tid);
-        p[12] = static_cast<std::uint8_t>(e.category);
-        p[13] = static_cast<std::uint8_t>(e.phase);
-        putLe16(p + 14, static_cast<std::uint16_t>(e.id));
-        putLe64(p + 16, e.arg);
-        p += kTraceEventSize;
+        w.u64(e.tsc);
+        w.u32(e.tid);
+        w.u8(static_cast<std::uint8_t>(e.category));
+        w.u8(static_cast<std::uint8_t>(e.phase));
+        w.u16(static_cast<std::uint16_t>(e.id));
+        w.u64(e.arg);
     }
-
-    std::size_t payloadLen = frame.size() - kTraceHeaderSize;
-    putLe32(frame.data(), kTraceMagic);
-    putLe16(frame.data() + 4, kTraceVersion);
-    putLe16(frame.data() + 6, 0); // flags, reserved
-    putLe32(frame.data() + 8,
-            static_cast<std::uint32_t>(payloadLen));
-    putLe32(frame.data() + 12, frameCrc(frame.data(), payloadLen));
+    sealFrame(kTraceFrame, frame.data(), payloadLen);
     return frame;
 }
 
-TraceIoStatus
+FrameStatus
 decodeTrace(const std::uint8_t *data, std::size_t size,
             std::vector<TraceEvent> *out)
 {
-    if (size < kTraceHeaderSize)
-        return TraceIoStatus::Truncated;
-    if (getLe32(data) != kTraceMagic)
-        return TraceIoStatus::BadMagic;
-    if (getLe16(data + 4) != kTraceVersion)
-        return TraceIoStatus::BadVersion;
+    std::size_t payloadLen = 0;
+    FrameStatus status =
+        verifyFrame(kTraceFrame, data, size, &payloadLen);
+    if (status != FrameStatus::Ok)
+        return status;
 
-    std::uint32_t payloadLen = getLe32(data + 8);
-    if (payloadLen > size - kTraceHeaderSize)
-        return TraceIoStatus::Truncated;
-    if (payloadLen < size - kTraceHeaderSize)
-        return TraceIoStatus::Malformed; // trailing bytes
-    if (frameCrc(data, payloadLen) != getLe32(data + 12))
-        return TraceIoStatus::BadCrc;
-
-    if (payloadLen < 4)
-        return TraceIoStatus::Malformed;
-    const std::uint8_t *p = data + kTraceHeaderSize;
-    std::uint32_t count = getLe32(p);
-    p += 4;
+    FrameReader r(data + kFrameHeaderSize, payloadLen);
+    std::uint32_t count = r.u32();
+    const std::uint8_t *p = r.take(count, kTraceEventSize);
     // The count must account for the payload exactly: no trailing
     // bytes, no partial trailing record.
-    if (static_cast<std::uint64_t>(count) * kTraceEventSize !=
-        payloadLen - 4) {
-        return TraceIoStatus::Malformed;
-    }
+    if (!r.ok() || r.remaining() != 0)
+        return FrameStatus::Malformed;
 
     std::vector<TraceEvent> events;
     events.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        TraceEvent e;
-        e.tsc = getLe64(p);
-        e.tid = getLe32(p + 8);
+    for (std::uint32_t i = 0; i < count; ++i, p += kTraceEventSize) {
         std::uint8_t category = p[12];
         std::uint8_t phase = p[13];
-        std::uint16_t id = getLe16(p + 14);
-        e.arg = getLe64(p + 16);
+        auto id = le::get<std::uint16_t>(p + 14);
         if (category >= kTraceCategoryCount ||
             phase >= kTracePhaseCount || id >= kTraceIdCount) {
-            return TraceIoStatus::Malformed;
+            return FrameStatus::Malformed;
         }
+        TraceEvent e;
+        e.tsc = le::get<std::uint64_t>(p);
+        e.tid = le::get<std::uint32_t>(p + 8);
         e.category = static_cast<TraceCategory>(category);
         e.phase = static_cast<TracePhase>(phase);
         e.id = static_cast<TraceId>(id);
+        e.arg = le::get<std::uint64_t>(p + 16);
         events.push_back(e);
-        p += kTraceEventSize;
     }
     *out = std::move(events);
-    return TraceIoStatus::Ok;
+    return FrameStatus::Ok;
 }
 
-TraceIoStatus
+FrameStatus
 writeTraceFile(const std::string &path,
                const std::vector<TraceEvent> &events)
 {
     std::vector<std::uint8_t> frame = encodeTrace(events);
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     if (!os)
-        return TraceIoStatus::IoError;
+        return FrameStatus::IoError;
     os.write(reinterpret_cast<const char *>(frame.data()),
              static_cast<std::streamsize>(frame.size()));
-    return os ? TraceIoStatus::Ok : TraceIoStatus::IoError;
+    return os ? FrameStatus::Ok : FrameStatus::IoError;
 }
 
-TraceIoStatus
+FrameStatus
 readTraceFile(const std::string &path, std::vector<TraceEvent> *out)
 {
     std::vector<std::uint8_t> bytes;
     if (!readWholeFile(path, &bytes))
-        return TraceIoStatus::IoError;
+        return FrameStatus::IoError;
     return decodeTrace(bytes, out);
 }
 

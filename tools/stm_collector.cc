@@ -339,7 +339,7 @@ durableMain(const CliOptions &cli, const BugSpec &bug,
                   << rec.snapshotEpoch << " (" << rec.snapshotReports
                   << " reports), " << rec.walRecordsReplayed
                   << " WAL records replayed (tail "
-                  << fleet::walStatusName(rec.walTail)
+                  << frameStatusName(rec.walTail)
                   << "), resuming at epoch " << rec.resumedEpoch
                   << '\n';
     }

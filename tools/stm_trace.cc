@@ -166,14 +166,14 @@ writeDump(const std::string &path,
                   << path << " (chrome trace_event JSON)\n";
         return 0;
     }
-    obs::TraceIoStatus st = obs::writeTraceFile(path, events);
-    if (st != obs::TraceIoStatus::Ok) {
+    FrameStatus st = obs::writeTraceFile(path, events);
+    if (st != FrameStatus::Ok) {
         std::cerr << "stm_trace: cannot write " << path << " ("
-                  << obs::traceIoStatusName(st) << ")\n";
+                  << frameStatusName(st) << ")\n";
         return 1;
     }
     std::cout << "trace: " << events.size() << " events -> " << path
-              << " (binary STMT v" << obs::kTraceVersion << ")\n";
+              << " (binary STMT v" << obs::kTraceFrame.version << ")\n";
     return 0;
 }
 
@@ -237,10 +237,10 @@ cmdRecord(const CliOptions &cli)
 int
 readDump(const std::string &path, std::vector<obs::TraceEvent> *out)
 {
-    obs::TraceIoStatus st = obs::readTraceFile(path, out);
-    if (st != obs::TraceIoStatus::Ok) {
+    FrameStatus st = obs::readTraceFile(path, out);
+    if (st != FrameStatus::Ok) {
         std::cerr << "stm_trace: " << path << ": "
-                  << obs::traceIoStatusName(st) << '\n';
+                  << frameStatusName(st) << '\n';
         return 1;
     }
     return 0;

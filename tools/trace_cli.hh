@@ -51,7 +51,7 @@ class TraceCliGuard
                 return;
             }
         } else if (obs::writeTraceFile(path_, events) !=
-                   obs::TraceIoStatus::Ok) {
+                   FrameStatus::Ok) {
             std::cerr << "cannot write trace to " << path_ << '\n';
             return;
         }
