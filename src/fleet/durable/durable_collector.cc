@@ -75,7 +75,7 @@ DurableCollector::foldView(const RunProfileView &view,
                            std::uint64_t print)
 {
     auto [it, inserted] =
-        store_.emplace(print, ReportDigest{});
+        store_.reports_.emplace(print, ReportDigest{});
     if (!inserted)
         return; // cross-restart duplicate already folded
     it->second = digestOfView(view);
@@ -107,10 +107,10 @@ DurableCollector::recover()
         recovery_.snapshotLoaded = true;
         recovery_.snapshotEpoch = snap.epoch();
         recovery_.snapshotReports = snap.reportCount();
-        store_ = snap.reports();
         ranker_.importStats(snap.sufficientStats());
         baseEpoch = snap.epoch();
         epoch_ = snap.epoch() + 1;
+        store_ = std::move(snap);
     }
 
     // Replay the WAL tail: records from epochs the snapshot covers
@@ -140,7 +140,7 @@ DurableCollector::recover()
     // preseeding the dedup sets turns those into Duplicates, which
     // is what makes the recovered ranking identical to the
     // uninterrupted one.
-    for (const auto &[print, digest] : store_)
+    for (const auto &[print, digest] : store_.reports())
         collector_.preseed(print);
 
     recovery_.recovered =
@@ -178,7 +178,7 @@ DurableCollector::pump()
         });
 }
 
-RankerSnapshot
+const RankerSnapshot &
 DurableCollector::rollEpoch()
 {
     pump();
@@ -186,14 +186,15 @@ DurableCollector::rollEpoch()
     // snapshot is labelled with must not mix instants (the published
     // values feed --stats-json at the epoch boundary).
     collector_.publishAll();
-    RankerSnapshot snap(collectorId_, epoch_, store_);
+    store_.collectorId_ = collectorId_;
+    store_.epoch_ = epoch_;
     {
         std::lock_guard<std::mutex> lock(walMu_);
         wal_->flush();
         std::string path = dir_ + "/" +
                            snapshotFileName(collectorId_, epoch_);
         std::size_t bytes = 0;
-        if (!snap.writeFile(path, &bytes))
+        if (!store_.writeFile(path, &bytes))
             fatal("cannot write snapshot {}", path);
         lastSnapshotBytes_ = bytes;
         ++snapshotsWritten_;
@@ -210,7 +211,7 @@ DurableCollector::rollEpoch()
         ++epochsRolled_;
         ++epoch_;
     }
-    return snap;
+    return store_;
 }
 
 std::string
@@ -240,7 +241,7 @@ DurableCollector::stats() const
     stats_.gauge("snapshot_bytes")
         .set(static_cast<double>(lastSnapshotBytes_));
     stats_.gauge("stored_reports")
-        .set(static_cast<double>(store_.size()));
+        .set(static_cast<double>(store_.reportCount()));
     stats_.gauge("epoch").set(static_cast<double>(epoch_));
     return stats_;
 }

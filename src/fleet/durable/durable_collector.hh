@@ -26,8 +26,11 @@
  *       1. pump()                (nothing accepted is left queued)
  *       2. Collector::publishAll() (one point-in-time stats cut)
  *       3. WAL flush
- *       4. write whole-store RankerSnapshot for this epoch
- *          (tmp + rename: readers never see a torn snapshot)
+ *       4. stamp the live store (a RankerSnapshot) with this
+ *          epoch and write it in place, without copying it
+ *          (tmp + rename: readers never see a torn snapshot); the
+ *          returned reference is the live store, valid until the
+ *          next fold
  *       5. prune WAL segments fully covered by the snapshot (the
  *          writer remembers the last epoch of each segment it
  *          closed, so only a segment left by an earlier process is
@@ -140,16 +143,11 @@ class DurableCollector
     /**
      * Close the current epoch: pump, publish stats, flush + snapshot
      * + prune, advance the epoch counter. Returns the snapshot just
-     * written (epoch = the epoch that closed).
+     * written (epoch = the epoch that closed): a reference to the
+     * live store, stamped and encoded in place, whose contents hold
+     * until the next fold (pump(), rollEpoch()). Copy it to keep it.
      */
-    RankerSnapshot rollEpoch();
-
-    /** The snapshot rollEpoch() would write, without writing it. */
-    RankerSnapshot
-    currentSnapshot() const
-    {
-        return RankerSnapshot(collectorId_, epoch_, store_);
-    }
+    const RankerSnapshot &rollEpoch();
 
     /** Current ranking over everything pumped so far. */
     const std::vector<RankedEvent> &
@@ -158,8 +156,8 @@ class DurableCollector
         return ranker_.rank(include_absence);
     }
 
-    std::size_t storedReports() const { return store_.size(); }
-    const RankerSnapshot::ReportMap &store() const { return store_; }
+    std::size_t storedReports() const { return store_.reportCount(); }
+    const RankerSnapshot::ReportMap &store() const { return store_.reports(); }
     const Ranker &ranker() const { return ranker_; }
 
     Collector &inner() { return collector_; }
@@ -170,9 +168,10 @@ class DurableCollector
 
     /**
      * Durable-layer metrics, published at call time: counters
-     * epochs_rolled, snapshots_written, frames_spilled, wal_records,
-     * wal_segments, segments_pruned, replayed_frames, recoveries;
-     * gauges wal_bytes, snapshot_bytes, stored_reports, epoch.
+     * epochs_rolled, snapshots_written, frames_spilled (the WAL
+     * record count), wal_segments, segments_pruned, replayed_frames,
+     * recoveries; gauges wal_bytes, snapshot_bytes, stored_reports,
+     * epoch.
      */
     const StatGroup &stats() const;
 
@@ -188,7 +187,11 @@ class DurableCollector
     std::uint64_t collectorId_;
     Collector collector_;
     Ranker ranker_;
-    RankerSnapshot::ReportMap store_;
+    /**
+     * The deduplicated report store. rollEpoch() stamps its id and
+     * epoch; between rolls they still name the last snapshot.
+     */
+    RankerSnapshot store_;
     /** Created after recovery so replay never reads the new segment. */
     std::unique_ptr<WalWriter> wal_;
     std::uint64_t epoch_ = 0;

@@ -171,6 +171,13 @@ class RankerSnapshot
     bool operator==(const RankerSnapshot &) const = default;
 
   private:
+    /**
+     * The durable collector keeps its live report store as a
+     * snapshot, folds reports into it and stamps id and epoch at
+     * each roll, so the roll encodes the store without copying it.
+     */
+    friend class DurableCollector;
+
     /** Encode into @p out, which holds exactly encodedSize() bytes. */
     void encodeInto(std::uint8_t *out, std::size_t size) const;
 

@@ -3,10 +3,18 @@
  * Shared integrity checksums: CRC32 (IEEE 802.3, reflected) and the
  * FNV-1a 64-bit hash.
  *
- * Both the fleet wire format (fleet/wire_format) and the trace dump
- * format (obs/trace_io) frame untrusted bytes with the same CRC and
- * key deduplication on the same canonical hash; the implementations
- * live here so the two formats cannot drift apart.
+ * Every support/frame_codec format (the fleet wire frame, the trace
+ * dump, the ranker snapshot) and the write-ahead log record seal
+ * their bytes with the same CRC, and key deduplication runs on the
+ * same canonical hash; the implementations live here so the formats
+ * cannot drift apart.
+ *
+ * On x86 CPUs with PCLMULQDQ, crc32Update folds the 16-byte multiple
+ * of any input of 64 bytes or more with carry-less multiplies and
+ * finishes the tail with slicing-by-8 tables; shorter inputs, other
+ * CPUs and non-x86 builds use the tables throughout. The path is
+ * chosen once, by runtime CPU detection, and both give identical
+ * values.
  */
 
 #ifndef STM_SUPPORT_CHECKSUM_HH
@@ -33,6 +41,20 @@ crc32Init()
 
 std::uint32_t crc32Update(std::uint32_t crc, const std::uint8_t *data,
                           std::size_t size);
+
+namespace detail
+{
+
+/**
+ * The slicing-by-8 table path alone, whatever the CPU. crc32Update
+ * uses it for tails and short inputs; tests call it to check the
+ * table path on hosts where the folded path takes the bulk.
+ */
+std::uint32_t crc32UpdateTable(std::uint32_t crc,
+                               const std::uint8_t *data,
+                               std::size_t size);
+
+} // namespace detail
 
 constexpr std::uint32_t
 crc32Final(std::uint32_t crc)

@@ -749,6 +749,43 @@ TEST(DurableCollector, EpochRollWritesAMergeableSnapshot)
               pool.size());
 }
 
+TEST(DurableCollector, RollEpochReturnsWhatItWrote)
+{
+    // rollEpoch() returns the live store by reference, encoded in
+    // place: it must equal the file just written, and a copy taken
+    // from it must not follow the store as later reports fold in.
+    Pcg32 rng(57);
+    DurableOptions opts;
+    opts.dir = scratchDir("durrollref");
+    opts.collectorId = 3;
+    DurableCollector collector(opts);
+    std::vector<RunProfile> pool = distinctProfiles(rng, 36);
+    for (std::size_t i = 0; i < 12; ++i)
+        ASSERT_EQ(collector.submit(pool[i]), IngestStatus::Accepted);
+
+    for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
+        const RankerSnapshot &live = collector.rollEpoch();
+        EXPECT_EQ(live.collectorId(), 3u);
+        EXPECT_EQ(live.epoch(), epoch);
+        RankerSnapshot fromDisk;
+        ASSERT_EQ(RankerSnapshot::readFile(
+                      collector.snapshotPath(epoch), &fromDisk),
+                  FrameStatus::Ok);
+        EXPECT_EQ(fromDisk, live);
+
+        RankerSnapshot kept = live;
+        for (std::size_t i = 12 * (epoch + 1); i < 12 * (epoch + 2);
+             ++i) {
+            ASSERT_EQ(collector.submit(pool[i]),
+                      IngestStatus::Accepted);
+        }
+        collector.pump();
+        EXPECT_EQ(kept, fromDisk);
+        EXPECT_EQ(kept.reportCount(), 12 * (epoch + 1));
+    }
+    EXPECT_EQ(collector.storedReports(), pool.size());
+}
+
 TEST(DurableCollector, ConcurrentIngestFoldsEveryReportOnce)
 {
     // ingest() is thread-safe: producers race on the inner rings and
