@@ -31,7 +31,7 @@ main(int argc, char **argv)
 
     int lbrCaptured = 0, btsCaptured = 0;
     double btsOvSum = 0;
-    for (BugSpec &bug : corpus::sequentialBugs()) {
+    for (const BugSpec &bug : corpus::sequentialBugs()) {
         SourceBranchId scored =
             bug.truth.rootCauseBranch != kNoSourceBranch
                 ? bug.truth.rootCauseBranch
@@ -42,17 +42,17 @@ main(int argc, char **argv)
         std::size_t lbrPos = lbr.failed
                                  ? lbr.positionOfBranch(scored)
                                  : 0;
-        transform::clear(*bug.program);
-        transform::LbrLogPlan plan;
-        plan.lbrSelectMask = msr::kPaperLbrSelect;
-        transform::applyLbrLog(*bug.program, plan);
-        Machine lbrProd(bug.program, bug.succeeding.forRun(0));
+        transform::LbrLogPlan logPlan;
+        logPlan.lbrSelectMask = msr::kPaperLbrSelect;
+        auto lbrPlan = std::make_shared<Instrumentation>();
+        transform::applyLbrLog(*bug.program, *lbrPlan, logPlan);
+        Machine lbrProd(bug.program, bug.succeeding.forRun(0), lbrPlan);
         double lbrOv = lbrProd.run().stats.steadyOverhead();
 
         // BTS: whole-trace tracing with the same branch-class filter.
-        transform::clear(*bug.program);
-        transform::applyBts(*bug.program, msr::kPaperLbrSelect);
-        Machine btsFail(bug.program, bug.failing.forRun(0));
+        auto btsPlan = std::make_shared<Instrumentation>();
+        transform::applyBts(*btsPlan, msr::kPaperLbrSelect);
+        Machine btsFail(bug.program, bug.failing.forRun(0), btsPlan);
         RunResult failRun = btsFail.run();
         ThreadId failThread =
             failRun.failure ? failRun.failure->thread : 0;
@@ -71,10 +71,9 @@ main(int argc, char **argv)
                 }
             }
         }
-        Machine btsProd(bug.program, bug.succeeding.forRun(0));
+        Machine btsProd(bug.program, bug.succeeding.forRun(0), btsPlan);
         RunResult prodRun = btsProd.run();
         double btsOv = prodRun.stats.steadyOverhead();
-        transform::clear(*bug.program);
 
         lbrCaptured += lbrPos != 0 ? 1 : 0;
         btsCaptured += btsPos != 0 ? 1 : 0;

@@ -120,7 +120,7 @@ measureSweepPoint(std::uint64_t iters, Pcg32 &rng)
     SnapshotStore store; // default budget, √T spacing
     row.interval =
         store.intervalFor(opts.maxSteps, opts.sched.quantum);
-    RunKey key{fingerprintProgram(*prog),
+    RunKey key{fingerprintProgram(*prog, Instrumentation{}),
                fingerprintMachineOptions(opts), opts.sched.seed};
 
     Machine recorder(prog, opts);

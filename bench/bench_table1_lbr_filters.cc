@@ -79,24 +79,21 @@ main(int argc, char **argv)
 
     for (const MaskRow &row : masks) {
         ProgramPtr prog = allBranchKindsProgram();
-        transform::LbrLogPlan plan;
-        plan.lbrSelectMask = row.mask;
-        plan.toggling = false;
-        transform::applyLbrLog(*prog, plan);
-
-        Machine machine(prog);
-        // Snapshot at the end by running and inspecting the last LBR
-        // state via a profile at the segfault handler; easiest: give
-        // the machine a profile syscall before halting. Simpler: read
-        // the profile collected in the failing-free run via the PMU —
-        // the run completes, so inspect by re-running with a profile
-        // hook at the Halt instruction.
+        transform::LbrLogPlan logPlan;
+        logPlan.lbrSelectMask = row.mask;
+        logPlan.toggling = false;
+        auto plan = std::make_shared<Instrumentation>();
+        transform::applyLbrLog(*prog, *plan, logPlan);
+        // The run completes without a failure, so snapshot the LBR
+        // with a profile hook at the Halt instruction.
         for (std::uint32_t i = 0; i < prog->code.size(); ++i) {
             if (prog->code[i].op == Opcode::Halt) {
-                prog->instrumentation.before[i].push_back(
+                plan->before[i].push_back(
                     Hook{HookAction::ProfileLbr, 0, false});
             }
         }
+
+        Machine machine(prog, {}, plan);
         RunResult run = machine.run();
 
         std::map<BranchKind, int> kinds;

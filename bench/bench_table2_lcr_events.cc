@@ -60,25 +60,25 @@ main(int argc, char **argv)
         // The Mozilla-JS3 program exercises all states (cold misses,
         // remote invalidations, shared reads, private read/write).
         BugSpec bug = corpus::bugById("mozilla-js3");
-        transform::clear(*bug.program);
         LcrConfig config;
         if (row.code == msr::kEventLoad)
             config.loadMask = row.umask;
         else
             config.storeMask = row.umask;
-        transform::LcrLogPlan plan;
-        plan.lcrConfigMask = config.pack();
-        plan.toggling = false;
-        transform::applyLcrLog(*bug.program, plan);
+        transform::LcrLogPlan logPlan;
+        logPlan.lcrConfigMask = config.pack();
+        logPlan.toggling = false;
+        auto plan = std::make_shared<Instrumentation>();
+        transform::applyLcrLog(*bug.program, *plan, logPlan);
         // Snapshot the LCR at program exit.
         for (std::uint32_t i = 0; i < bug.program->code.size(); ++i) {
             if (bug.program->code[i].op == Opcode::Halt) {
-                bug.program->instrumentation.before[i].push_back(
+                plan->before[i].push_back(
                     Hook{HookAction::ProfileLcr, 0, false});
             }
         }
         MachineOptions opts = bug.succeeding.forRun(0);
-        Machine machine(bug.program, opts);
+        Machine machine(bug.program, opts, plan);
         RunResult run = machine.run();
 
         std::size_t recorded = 0;
@@ -105,17 +105,15 @@ main(int argc, char **argv)
         // and an effectively-infinite period, then read the count of
         // matching events observed (samples * period bounds it; use
         // period 1 to count every event).
-        transform::clear(*bug.program);
+        auto pbiPlan = std::make_shared<Instrumentation>();
         transform::applyPbi(
-            *bug.program,
-            row.code == msr::kEventLoad ? row.umask : 0,
+            *pbiPlan, row.code == msr::kEventLoad ? row.umask : 0,
             row.code == msr::kEventStore ? row.umask : 0, 1);
-        Machine counter(bug.program, opts);
+        Machine counter(bug.program, opts, pbiPlan);
         RunResult counted = counter.run();
         std::uint64_t total = 0;
         for (const auto &[key, samples] : counted.pbiSamples)
             total += samples;
-        transform::clear(*bug.program);
 
         std::cout << cell(row.name, 24)
                   << cell(std::to_string(total), 10)

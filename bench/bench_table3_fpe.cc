@@ -64,16 +64,16 @@ main(int argc, char **argv)
               << '\n';
 
     for (BugSpec &bug : corpus::microBugs()) {
-        transform::clear(*bug.program);
-        transform::LcrLogPlan plan;
-        plan.lcrConfigMask = lcrConfSpaceConsuming().pack();
-        transform::applyLcrLog(*bug.program, plan);
+        transform::LcrLogPlan logPlan;
+        logPlan.lcrConfigMask = lcrConfSpaceConsuming().pack();
+        auto plan = std::make_shared<Instrumentation>();
+        transform::applyLcrLog(*bug.program, *plan, logPlan);
 
         int failures = 0;
         int fpeSeen = 0;
         for (std::uint64_t i = 0; i < 400 && failures < 120; ++i) {
             MachineOptions opts = bug.failing.forRun(i);
-            Machine machine(bug.program, opts);
+            Machine machine(bug.program, opts, plan);
             RunResult run = machine.run();
             if (!bug.failing.isFailure(run))
                 continue;

@@ -28,21 +28,26 @@ using namespace stm::bench;
 namespace
 {
 
-/** One production (succeeding) run under the current instrumentation. */
+/** One production (succeeding) run under @p plan. */
 RunStats
-productionRun(const BugSpec &bug)
+productionRun(const BugSpec &bug, const Instrumentation &plan)
 {
-    Machine machine(bug.program, bug.succeeding.forRun(0));
+    Machine machine(bug.program, bug.succeeding.forRun(0),
+                    std::make_shared<const Instrumentation>(plan));
     return machine.run().stats;
 }
 
-/** Observe the failure site/instr by running the failing workload. */
+/**
+ * Observe the failure site/instr by running the failing workload
+ * under @p plan.
+ */
 bool
-observeFailure(const BugSpec &bug, LogSiteId *site,
-               std::uint32_t *instr)
+observeFailure(const BugSpec &bug, const Instrumentation &plan,
+               LogSiteId *site, std::uint32_t *instr)
 {
+    auto overlay = std::make_shared<const Instrumentation>(plan);
     for (std::uint64_t i = 0; i < 5000; ++i) {
-        Machine machine(bug.program, bug.failing.forRun(i));
+        Machine machine(bug.program, bug.failing.forRun(i), overlay);
         RunResult run = machine.run();
         if (!bug.failing.isFailure(run))
             continue;
@@ -75,67 +80,62 @@ main(int argc, char **argv)
 
     double sumTog = 0, sumCbi = 0;
     int nCbi = 0;
-    for (BugSpec &bug : corpus::sequentialBugs()) {
+    for (const BugSpec &bug : corpus::sequentialBugs()) {
         Cfg cfg(*bug.program);
 
         // LBRLOG with toggling.
-        transform::clear(*bug.program);
         transform::LbrLogPlan tog;
         tog.lbrSelectMask = msr::kPaperLbrSelect;
         tog.toggling = true;
-        transform::applyLbrLog(*bug.program, tog);
-        double ovTog = productionRun(bug).steadyOverhead();
+        Instrumentation logTog;
+        transform::applyLbrLog(*bug.program, logTog, tog);
+        double ovTog = productionRun(bug, logTog).steadyOverhead();
 
         // LBRLOG without toggling.
-        transform::clear(*bug.program);
         transform::LbrLogPlan noTog = tog;
         noTog.toggling = false;
-        transform::applyLbrLog(*bug.program, noTog);
-        double ovNoTog = productionRun(bug).steadyOverhead();
+        Instrumentation logNoTog;
+        transform::applyLbrLog(*bug.program, logNoTog, noTog);
+        double ovNoTog = productionRun(bug, logNoTog).steadyOverhead();
 
         // LBRA reactive: LBRLOG + the observed site's success site.
-        transform::clear(*bug.program);
-        transform::applyLbrLog(*bug.program, tog);
         LogSiteId site = 0;
         std::uint32_t faultInstr = 0;
         double ovReactive = 0, ovProactive = 0;
-        if (observeFailure(bug, &site, &faultInstr)) {
-            transform::clear(*bug.program);
-            transform::applyLbrLog(*bug.program, tog);
+        if (observeFailure(bug, logTog, &site, &faultInstr)) {
+            Instrumentation reactive = logTog;
             if (site == kSegfaultSite) {
                 transform::applySuccessSites(
-                    *bug.program, cfg, true,
+                    *bug.program, reactive, cfg, true,
                     transform::SuccessSiteScheme::Reactive,
                     kSegfaultSite, faultInstr);
             } else {
                 transform::applySuccessSites(
-                    *bug.program, cfg, true,
+                    *bug.program, reactive, cfg, true,
                     transform::SuccessSiteScheme::Reactive, site);
             }
-            ovReactive = productionRun(bug).steadyOverhead();
+            ovReactive = productionRun(bug, reactive).steadyOverhead();
         }
 
         // LBRA proactive: success sites for every failure-logging
         // site, shipped before release.
-        transform::clear(*bug.program);
-        transform::applyLbrLog(*bug.program, tog);
+        Instrumentation proactive = logTog;
         transform::applySuccessSites(
-            *bug.program, cfg, true,
+            *bug.program, proactive, cfg, true,
             transform::SuccessSiteScheme::Proactive);
-        ovProactive = productionRun(bug).steadyOverhead();
+        ovProactive = productionRun(bug, proactive).steadyOverhead();
 
         // CBI.
         std::string cbiCell = "N/A";
         if (!bug.isCpp) {
-            transform::clear(*bug.program);
-            transform::applyCbi(*bug.program);
-            double ovCbi = productionRun(bug).steadyOverhead();
+            Instrumentation cbi;
+            transform::applyCbi(*bug.program, cbi);
+            double ovCbi = productionRun(bug, cbi).steadyOverhead();
             cbiCell = percent(ovCbi) + " | " +
                       percent(bug.paper.ovCbi / 100.0);
             sumCbi += ovCbi;
             ++nCbi;
         }
-        transform::clear(*bug.program);
 
         sumTog += ovTog;
         std::cout << cell(bug.app, 11)

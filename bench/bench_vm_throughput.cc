@@ -128,28 +128,32 @@ mixedCorpus()
     };
 }
 
-void
-instrument(BugSpec &bug, const std::string &kind)
+/** The instrumentation plan for @p kind ("" = uninstrumented). */
+std::shared_ptr<const Instrumentation>
+instrument(const BugSpec &bug, const std::string &kind)
 {
-    transform::clear(*bug.program);
+    auto plan = std::make_shared<Instrumentation>();
     if (kind == "lbrlog") {
-        transform::LbrLogPlan plan;
-        plan.lbrSelectMask = msr::kPaperLbrSelect;
-        plan.toggling = true;
-        transform::applyLbrLog(*bug.program, plan);
+        transform::LbrLogPlan logPlan;
+        logPlan.lbrSelectMask = msr::kPaperLbrSelect;
+        logPlan.toggling = true;
+        transform::applyLbrLog(*bug.program, *plan, logPlan);
     } else if (kind == "lcrlog") {
-        transform::LcrLogPlan plan;
-        plan.lcrConfigMask = lcrConfSpaceConsuming().pack();
-        plan.toggling = true;
-        transform::applyLcrLog(*bug.program, plan);
+        transform::LcrLogPlan logPlan;
+        logPlan.lcrConfigMask = lcrConfSpaceConsuming().pack();
+        logPlan.toggling = true;
+        transform::applyLcrLog(*bug.program, *plan, logPlan);
     } else if (kind == "cbi") {
-        transform::applyCbi(*bug.program);
+        transform::applyCbi(*bug.program, *plan);
     }
+    return plan;
 }
 
 WorkloadResult
-timeWorkloadOnce(const BugSpec &bug, const WorkloadSpec &spec,
-                 std::uint64_t runs, DispatchMode mode)
+timeWorkloadOnce(const BugSpec &bug,
+                 const std::shared_ptr<const Instrumentation> &plan,
+                 const WorkloadSpec &spec, std::uint64_t runs,
+                 DispatchMode mode)
 {
     const Workload &w = spec.failing ? bug.failing : bug.succeeding;
 
@@ -164,7 +168,7 @@ timeWorkloadOnce(const BugSpec &bug, const WorkloadSpec &spec,
     for (std::uint64_t i = 0; i < runs; ++i) {
         MachineOptions opts = w.forRun(i);
         opts.dispatch = mode;
-        Machine machine(bug.program, opts);
+        Machine machine(bug.program, opts, plan);
         RunResult r = machine.run();
         out.instructions += r.stats.userInstructions +
                             r.stats.kernelInstructions +
@@ -188,11 +192,12 @@ timeWorkload(const WorkloadSpec &spec, std::uint64_t runs,
              std::uint64_t repeats, DispatchMode mode)
 {
     BugSpec bug = corpus::bugById(spec.bugId);
-    instrument(bug, spec.instrument);
+    auto plan = instrument(bug, spec.instrument);
 
     WorkloadResult best;
     for (std::uint64_t rep = 0; rep < repeats; ++rep) {
-        WorkloadResult r = timeWorkloadOnce(bug, spec, runs, mode);
+        WorkloadResult r =
+            timeWorkloadOnce(bug, plan, spec, runs, mode);
         if (rep == 0 || r.wallSec < best.wallSec)
             best = r;
     }
@@ -296,7 +301,7 @@ runPairHistogram(const std::string &path)
     bugs.insert(bugs.end(), micro.begin(), micro.end());
 
     std::uint64_t runsDone = 0;
-    for (BugSpec &bug : bugs) {
+    for (const BugSpec &bug : bugs) {
         // Mirror the golden-determinism configurations: bare fail and
         // succeed, the log plan (LBR for sequential, LCR for
         // concurrent), and CBI for sequential entries.
@@ -307,10 +312,10 @@ runPairHistogram(const std::string &path)
             kinds.push_back("cbi");
         for (const std::string &kind : kinds) {
             bool succeeding = kind == "bare-succ";
-            instrument(bug, succeeding ? "" : kind);
             const Workload &w =
                 succeeding ? bug.succeeding : bug.failing;
-            Machine machine(bug.program, w.forRun(0));
+            Machine machine(bug.program, w.forRun(0),
+                            instrument(bug, succeeding ? "" : kind));
             machine.run();
             ++runsDone;
         }

@@ -36,15 +36,16 @@ namespace
 
 /** Run the workload until a failing run is seen; returns it. */
 std::optional<std::pair<RunResult, std::uint64_t>>
-firstFailure(ProgramPtr prog, const Workload &workload,
-             const LogEnhanceOptions &opts)
+firstFailure(const ProgramPtr &prog,
+             const std::shared_ptr<const Instrumentation> &plan,
+             const Workload &workload, const LogEnhanceOptions &opts)
 {
     for (std::uint64_t attempt = 0; attempt < opts.maxAttempts;
          ++attempt) {
         MachineOptions machineOpts = workload.forRun(attempt);
         machineOpts.lbrEntries = opts.lbrEntries;
         machineOpts.lcrEntries = opts.lcrEntries;
-        Machine machine(prog, machineOpts);
+        Machine machine(prog, machineOpts, plan);
         RunResult result = machine.run();
         if (workload.isFailure(result))
             return std::make_pair(std::move(result), attempt + 1);
@@ -58,15 +59,15 @@ LbrLogReport
 runLbrLog(ProgramPtr prog, const Workload &workload,
           const LogEnhanceOptions &opts)
 {
-    transform::clear(*prog);
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = opts.lbrSelect;
-    plan.toggling = opts.toggling;
-    plan.segfaultHandler = true;
-    transform::applyLbrLog(*prog, plan);
+    transform::LbrLogPlan logPlan;
+    logPlan.lbrSelectMask = opts.lbrSelect;
+    logPlan.toggling = opts.toggling;
+    logPlan.segfaultHandler = true;
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLbrLog(*prog, *plan, logPlan);
 
     LbrLogReport report;
-    auto failing = firstFailure(prog, workload, opts);
+    auto failing = firstFailure(prog, plan, workload, opts);
     if (!failing)
         return report;
     report.failed = true;
@@ -98,15 +99,15 @@ LcrLogReport
 runLcrLog(ProgramPtr prog, const Workload &workload,
           const LogEnhanceOptions &opts)
 {
-    transform::clear(*prog);
-    transform::LcrLogPlan plan;
-    plan.lcrConfigMask = opts.lcrConfig.pack();
-    plan.toggling = opts.toggling;
-    plan.segfaultHandler = true;
-    transform::applyLcrLog(*prog, plan);
+    transform::LcrLogPlan logPlan;
+    logPlan.lcrConfigMask = opts.lcrConfig.pack();
+    logPlan.toggling = opts.toggling;
+    logPlan.segfaultHandler = true;
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLcrLog(*prog, *plan, logPlan);
 
     LcrLogReport report;
-    auto failing = firstFailure(prog, workload, opts);
+    auto failing = firstFailure(prog, plan, workload, opts);
     if (!failing)
         return report;
     report.failed = true;

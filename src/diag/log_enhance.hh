@@ -78,8 +78,9 @@ struct LcrLogReport
 };
 
 /**
- * LBRLOG: instrument @p prog for LBR-enhanced failure logging and run
- * the workload until a failure is observed (or attempts run out).
+ * LBRLOG: build an LBR-enhanced failure-logging plan for @p prog and
+ * run the workload under it until a failure is observed (or attempts
+ * run out). @p prog itself is left as it was.
  */
 LbrLogReport runLbrLog(ProgramPtr prog, const Workload &workload,
                        const LogEnhanceOptions &opts = {});

@@ -165,8 +165,8 @@ RunCache *globalRunCache();
 /**
  * Execute — or recall — one run: the memoizing analogue of
  * `Machine(prog, opts, overlay).run()`. @p programFp must be the
- * full program fingerprint (base combined with @p overlay's digest,
- * or fingerprintProgram(*prog) when @p overlay is null); @p optionsFp
+ * full program fingerprint, fingerprintProgram(*prog, plan), where
+ * plan is *@p overlay or the empty plan when it is null; @p optionsFp
  * the fingerprintMachineOptions(opts) digest. Campaigns compute both
  * once per phase and share them across every seed in the batch.
  *

@@ -7,8 +7,8 @@
  * attempts before rare failures manifest), the CBI/PBI/CCI baselines
  * (1000+1000 sampled runs per campaign), and the table benches — is
  * built from *independent* VM executions: run i is fully determined by
- * `workload.forRun(i)` and the (immutable during execution)
- * instrumented Program. RunPool fans those runs out across N worker
+ * `workload.forRun(i)`, the immutable Program and the phase's
+ * instrumentation plan. RunPool fans those runs out across N worker
  * threads while preserving the exact observable behavior of the serial
  * loop:
  *

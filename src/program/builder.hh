@@ -252,7 +252,8 @@ class ProgramBuilder
                                   const std::string &note);
     void closeFunction();
 
-    ProgramPtr prog_;
+    /** The program under construction; build() hands it out const. */
+    std::shared_ptr<Program> prog_;
     std::uint16_t fileId_ = 0;
     std::uint32_t line_ = 0;
     bool inFunction_ = false;

@@ -193,14 +193,6 @@ combineFingerprints(std::uint64_t a, std::uint64_t b)
 }
 
 std::uint64_t
-fingerprintProgram(const Program &prog)
-{
-    return combineFingerprints(
-        fingerprintProgramBase(prog),
-        fingerprintInstrumentation(prog.instrumentation));
-}
-
-std::uint64_t
 fingerprintProgram(const Program &prog, const Instrumentation &overlay)
 {
     return combineFingerprints(fingerprintProgramBase(prog),

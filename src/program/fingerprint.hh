@@ -127,9 +127,6 @@ std::uint64_t memoizedProgramBaseFingerprint(const Program &prog);
 /** Order-sensitive combination of two digests. */
 std::uint64_t combineFingerprints(std::uint64_t a, std::uint64_t b);
 
-/** Base digest combined with the program's own instrumentation. */
-std::uint64_t fingerprintProgram(const Program &prog);
-
 /** Base digest combined with an overlay instrumentation plan. */
 std::uint64_t fingerprintProgram(const Program &prog,
                                  const Instrumentation &overlay);

@@ -4,9 +4,10 @@
  *
  * A Program is the unit the whole reproduction pipeline operates on:
  * the bug corpus builds Programs, the instrumentation transforms
- * attach profiling hooks to them (the analogue of the paper's
+ * build profiling-hook plans over them (the analogue of the paper's
  * source-to-source transformer, Section 5.1), the static analyzer
- * walks their control-flow graphs (Table 5), and the VM executes them.
+ * walks their control-flow graphs (Table 5), and the VM executes them
+ * under those plans.
  */
 
 #ifndef STM_PROGRAM_PROGRAM_HH
@@ -94,7 +95,7 @@ struct Hook
 };
 
 /**
- * The complete instrumentation plan attached to a program. Built by
+ * The complete instrumentation plan for runs of one program. Built by
  * the transforms in transform.hh; consumed by the VM.
  */
 struct Instrumentation
@@ -161,8 +162,9 @@ struct Instrumentation
 };
 
 /**
- * A complete MiniVM program: code, data image, debug metadata, and an
- * instrumentation plan.
+ * A complete MiniVM program: code, data image, and debug metadata.
+ * Immutable once built; instrumentation plans are separate overlays
+ * (see transform.hh) passed alongside it to each run.
  */
 class Program
 {
@@ -174,7 +176,6 @@ class Program
     std::vector<Function> functions;
     std::vector<SourceBranchInfo> branches;
     std::vector<LogSiteInfo> logSites;
-    Instrumentation instrumentation;
     std::uint32_t entry = 0;
 
     /**
@@ -260,7 +261,7 @@ class Program
     bool isNormalized() const;
 };
 
-using ProgramPtr = std::shared_ptr<Program>;
+using ProgramPtr = std::shared_ptr<const Program>;
 
 } // namespace stm
 

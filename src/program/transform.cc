@@ -95,12 +95,6 @@ applyLbrLog(const Program &prog, Instrumentation &out,
 }
 
 void
-applyLbrLog(Program &prog, const LbrLogPlan &plan)
-{
-    applyLbrLog(prog, prog.instrumentation, plan);
-}
-
-void
 applyLcrLog(const Program &prog, Instrumentation &out,
             const LcrLogPlan &plan)
 {
@@ -109,12 +103,6 @@ applyLcrLog(const Program &prog, Instrumentation &out,
     out.toggleLcrAroundLibraries = plan.toggling;
     out.segfaultProfilesLcr = plan.segfaultHandler;
     profileAtFailureSites(prog, out, HookAction::ProfileLcr);
-}
-
-void
-applyLcrLog(Program &prog, const LcrLogPlan &plan)
-{
-    applyLcrLog(prog, prog.instrumentation, plan);
 }
 
 void
@@ -162,15 +150,6 @@ applySuccessSites(const Program &prog, Instrumentation &out,
 }
 
 void
-applySuccessSites(Program &prog, const Cfg &cfg, bool lbr,
-                  SuccessSiteScheme scheme, LogSiteId observedSite,
-                  std::optional<std::uint32_t> faultingInstr)
-{
-    applySuccessSites(prog, prog.instrumentation, cfg, lbr, scheme,
-                      observedSite, faultingInstr);
-}
-
-void
 applyCbi(const Program &prog, Instrumentation &out, double mean_period)
 {
     out.cbiEnabled = true;
@@ -187,22 +166,10 @@ applyCbi(const Program &prog, Instrumentation &out, double mean_period)
 }
 
 void
-applyCbi(Program &prog, double mean_period)
-{
-    applyCbi(prog, prog.instrumentation, mean_period);
-}
-
-void
 applyCci(Instrumentation &out, double mean_period)
 {
     out.cciEnabled = true;
     out.cciMeanPeriod = mean_period;
-}
-
-void
-applyCci(Program &prog, double mean_period)
-{
-    applyCci(prog.instrumentation, mean_period);
 }
 
 void
@@ -216,35 +183,10 @@ applyPbi(Instrumentation &out, std::uint8_t load_mask,
 }
 
 void
-applyPbi(Program &prog, std::uint8_t load_mask,
-         std::uint8_t store_mask, std::uint64_t period)
-{
-    applyPbi(prog.instrumentation, load_mask, store_mask, period);
-}
-
-void
 applyBts(Instrumentation &out, std::uint64_t select_mask)
 {
     out.btsEnabled = true;
     out.btsSelectMask = select_mask;
-}
-
-void
-applyBts(Program &prog, std::uint64_t select_mask)
-{
-    applyBts(prog.instrumentation, select_mask);
-}
-
-void
-clear(Instrumentation &out)
-{
-    out = Instrumentation{};
-}
-
-void
-clear(Program &prog)
-{
-    clear(prog.instrumentation);
 }
 
 } // namespace stm::transform

@@ -6,22 +6,19 @@
  * CBI baseline's sampling instrumentation.
  *
  * Instead of physically rewriting instruction streams, transforms
- * attach *hooks* to the program (see Instrumentation in program.hh).
+ * build a plan of *hooks* over the program (see Instrumentation in
+ * program.hh).
  * The VM executes hooks through the simulated kernel driver and
  * charges their full instruction cost, so they are observationally
  * equivalent to inserted code — including their run-time overhead —
  * while keeping branch targets stable.
  *
- * Every transform comes in two forms:
- *
- *  - the overlay form, `apply*(const Program &, Instrumentation &,
- *    ...)`, which reads the program's metadata and writes only the
- *    caller's Instrumentation — the copy-on-write plan a campaign
- *    builds per phase against one immutable base Program (O(sites)
- *    to build, copy, and fingerprint; pass it to Machine as the
- *    overlay argument and to the run cache as the overlay digest);
- *  - the legacy in-place form, `apply*(Program &, ...)`, which
- *    forwards to the overlay form targeting prog.instrumentation.
+ * Every transform reads the program's metadata and writes only the
+ * caller's Instrumentation: the copy-on-write plan a campaign builds
+ * per phase against one immutable base Program (O(sites) to build,
+ * copy, and fingerprint). Pass the plan to Machine as its overlay
+ * argument and to the run cache as the overlay digest; start a fresh
+ * plan from `Instrumentation{}`.
  */
 
 #ifndef STM_PROGRAM_TRANSFORM_HH
@@ -56,7 +53,6 @@ struct LbrLogPlan
  */
 void applyLbrLog(const Program &prog, Instrumentation &out,
                  const LbrLogPlan &plan);
-void applyLbrLog(Program &prog, const LbrLogPlan &plan);
 
 /** Options for the LCRLOG log-enhancement transform. */
 struct LcrLogPlan
@@ -70,7 +66,6 @@ struct LcrLogPlan
 /** Apply the LCRLOG transformation (LCR analogue of applyLbrLog). */
 void applyLcrLog(const Program &prog, Instrumentation &out,
                  const LcrLogPlan &plan);
-void applyLcrLog(Program &prog, const LcrLogPlan &plan);
 
 /** Success-run profile collection schemes (Section 5.2). */
 enum class SuccessSiteScheme {
@@ -93,7 +88,8 @@ enum class SuccessSiteScheme {
  * program branches into the basic block containing F; for a faulting
  * instruction i, the success site is right after i.
  *
- * @param prog the program (must already carry an LBRLOG/LCRLOG plan)
+ * @param prog the program
+ * @param out the plan to extend (normally already an LBRLOG/LCRLOG plan)
  * @param cfg its control-flow graph
  * @param lbr true to profile LBR, false to profile LCR
  * @param scheme proactive (all failure sites) or reactive (one site)
@@ -107,10 +103,6 @@ void applySuccessSites(const Program &prog, Instrumentation &out,
                        SuccessSiteScheme scheme,
                        LogSiteId observedSite = 0,
                        std::optional<std::uint32_t> faultingInstr = {});
-void applySuccessSites(Program &prog, const Cfg &cfg, bool lbr,
-                       SuccessSiteScheme scheme,
-                       LogSiteId observedSite = 0,
-                       std::optional<std::uint32_t> faultingInstr = {});
 
 /**
  * Attach the CBI baseline's sampling instrumentation: a countdown
@@ -120,14 +112,12 @@ void applySuccessSites(Program &prog, const Cfg &cfg, bool lbr,
  */
 void applyCbi(const Program &prog, Instrumentation &out,
               double mean_period = 100.0);
-void applyCbi(Program &prog, double mean_period = 100.0);
 
 /**
  * Attach the CCI baseline's heavyweight software sampling of
  * interleaving predicates at memory accesses.
  */
 void applyCci(Instrumentation &out, double mean_period = 100.0);
-void applyCci(Program &prog, double mean_period = 100.0);
 
 /**
  * Attach the PBI baseline: performance counters sampling coherence
@@ -136,20 +126,12 @@ void applyCci(Program &prog, double mean_period = 100.0);
  */
 void applyPbi(Instrumentation &out, std::uint8_t load_mask,
               std::uint8_t store_mask, std::uint64_t period = 20);
-void applyPbi(Program &prog, std::uint8_t load_mask,
-              std::uint8_t store_mask, std::uint64_t period = 20);
 
 /**
  * Enable whole-execution branch tracing via the Branch Trace Store
  * (Section 2.1's rejected alternative; see bench_ablation_bts).
  */
 void applyBts(Instrumentation &out, std::uint64_t select_mask);
-void applyBts(Program &prog, std::uint64_t select_mask);
-
-/** Reset an instrumentation plan to the empty plan. */
-void clear(Instrumentation &out);
-/** Remove all instrumentation from the program. */
-void clear(Program &prog);
 
 } // namespace stm::transform
 

@@ -23,6 +23,18 @@ libPc(LibFn fn, std::uint32_t off = 0)
            0x100 * static_cast<Addr>(fn) + 4 * off;
 }
 
+/**
+ * The plan a Machine constructed without an overlay runs under. A
+ * function-local static, so a Machine built during another
+ * translation unit's static initialization still finds it.
+ */
+const Instrumentation &
+emptyPlan()
+{
+    static const Instrumentation empty;
+    return empty;
+}
+
 } // namespace
 
 Machine::Machine(ProgramPtr prog, MachineOptions opts,
@@ -36,8 +48,7 @@ Machine::Machine(ProgramPtr prog, MachineOptions opts,
 {
     if (!prog_)
         fatal("Machine requires a program");
-    instr_ = overlayHold_ ? overlayHold_.get()
-                          : &prog_->instrumentation;
+    instr_ = overlayHold_ ? overlayHold_.get() : &emptyPlan();
     globalsEnd_ = prog_->globalsEnd();
 }
 

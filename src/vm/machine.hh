@@ -46,14 +46,14 @@ class Machine
 {
   public:
     /**
-     * @p overlay, when non-null, is the copy-on-write instrumentation
-     * plan for this run: the Machine reads every hook table and
-     * scalar knob from it instead of prog->instrumentation, so one
-     * immutable base Program can be shared by concurrent runs under
-     * different per-phase plans (see program/transform.hh). The
-     * Machine keeps the shared_ptr alive for the whole run; the
-     * predecoded stream it dispatches over owns copies of the hook
-     * lists (vm/decoded_program.hh).
+     * @p overlay is the instrumentation plan for this run; null means
+     * the empty plan (an uninstrumented run). The Machine reads every
+     * hook table and scalar knob from it, so one immutable base
+     * Program can be shared by concurrent runs under different
+     * per-phase plans (see program/transform.hh). The Machine keeps
+     * the shared_ptr alive for the whole run; the predecoded stream
+     * it dispatches over owns copies of the hook lists
+     * (vm/decoded_program.hh).
      */
     Machine(ProgramPtr prog, MachineOptions opts = {},
             std::shared_ptr<const Instrumentation> overlay = nullptr);
@@ -116,8 +116,6 @@ class Machine
 
     const Program &program() const { return *prog_; }
     const MachineOptions &options() const { return opts_; }
-    /** The instrumentation plan in effect (overlay or the program's). */
-    const Instrumentation &instrumentation() const { return *instr_; }
 
     Pmu &pmuOf(ThreadId tid);
     LcrDomain &lcrDomain() { return lcr_; }
@@ -298,9 +296,9 @@ class Machine
 
     ProgramPtr prog_;
     MachineOptions opts_;
-    /** Keeps an overlay plan alive; null when running the program's own. */
+    /** Keeps the overlay plan alive; null for an uninstrumented run. */
     std::shared_ptr<const Instrumentation> overlayHold_;
-    /** The plan every read goes through (overlay or &prog_->instrumentation). */
+    /** The plan every read goes through (the overlay or the empty plan). */
     const Instrumentation *instr_ = nullptr;
     Pcg32 rng_;
 

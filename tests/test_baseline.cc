@@ -177,26 +177,24 @@ TEST(Pbi, SamplesTheFpeWithEnoughRuns)
 TEST(Pbi, HardwareCountingIsNearlyFree)
 {
     BugSpec bug = corpus::bugById("mozilla-js3");
-    transform::clear(*bug.program);
-    transform::applyPbi(*bug.program, 0x05, 0x01, 50);
-    Machine machine(bug.program, bug.succeeding.forRun(0));
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyPbi(*plan, 0x05, 0x01, 50);
+    Machine machine(bug.program, bug.succeeding.forRun(0), plan);
     RunResult run = machine.run();
     // Counting itself charges nothing; only rare overflow interrupts.
     EXPECT_LT(run.stats.steadyOverhead(), 0.05);
-    transform::clear(*bug.program);
 }
 
 TEST(Cci, SoftwareSamplingIsExpensive)
 {
     BugSpec bug = corpus::bugById("mozilla-js3");
-    transform::clear(*bug.program);
-    transform::applyCci(*bug.program, 100.0);
-    Machine machine(bug.program, bug.succeeding.forRun(0));
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyCci(*plan, 100.0);
+    Machine machine(bug.program, bug.succeeding.forRun(0), plan);
     RunResult run = machine.run();
     // Per-access fast-path instrumentation: an order of magnitude
     // above anything LBR/LCR-based (CCI's published 10x worst case).
     EXPECT_GT(run.stats.steadyOverhead(), 0.10);
-    transform::clear(*bug.program);
 }
 
 TEST(Cci, CampaignCompletesAndRanks)

@@ -312,8 +312,9 @@ TEST(Bus, SingleWriterInvariantUnderRandomTraffic)
                 }
             }
             ASSERT_LE(owners, 1);
-            if (owners == 1)
+            if (owners == 1) {
                 ASSERT_EQ(holders, 1);
+            }
         }
     }
 }

@@ -316,7 +316,7 @@ TEST(CheckpointRng, IrqOffDrawSequenceSurvivesResume)
 RunKey
 keyFor(const ProgramPtr &prog, const MachineOptions &opts)
 {
-    return RunKey{fingerprintProgram(*prog),
+    return RunKey{fingerprintProgram(*prog, Instrumentation{}),
                   fingerprintMachineOptions(opts), opts.sched.seed};
 }
 
@@ -517,7 +517,7 @@ TEST(CheckpointWiring, RunCacheVerifiesFromCheckpoint)
 
     ProgramPtr prog = contendingProgram();
     MachineOptions opts = preemptingOptions(7);
-    std::uint64_t progFp = fingerprintProgram(*prog);
+    std::uint64_t progFp = fingerprintProgram(*prog, Instrumentation{});
     std::uint64_t optionsFp = fingerprintMachineOptions(opts);
 
     // Miss: executes, records a timeline, inserts the result.

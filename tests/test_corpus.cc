@@ -80,14 +80,17 @@ TEST_P(CorpusEntry, ProgramIsWellFormed)
 TEST_P(CorpusEntry, GroundTruthIsConsistent)
 {
     const GroundTruth &truth = bug_.truth;
-    if (truth.rootCauseBranch != kNoSourceBranch)
+    if (truth.rootCauseBranch != kNoSourceBranch) {
         EXPECT_LT(truth.rootCauseBranch,
                   bug_.program->branches.size());
-    if (truth.relatedBranch != kNoSourceBranch)
+    }
+    if (truth.relatedBranch != kNoSourceBranch) {
         EXPECT_LT(truth.relatedBranch,
                   bug_.program->branches.size());
-    if (bug_.isConcurrent && !truth.fpeUnreachable)
+    }
+    if (bug_.isConcurrent && !truth.fpeUnreachable) {
         EXPECT_LT(truth.fpeInstr, bug_.program->code.size());
+    }
     // Sequential entries must name a root-cause or related branch.
     if (!bug_.isConcurrent) {
         EXPECT_TRUE(truth.rootCauseBranch != kNoSourceBranch ||
@@ -126,8 +129,8 @@ TEST_P(CorpusEntry, RunsAreDeterministicPerSeed)
 
 INSTANTIATE_TEST_SUITE_P(AllBugs, CorpusEntry,
                          ::testing::ValuesIn(allBugIds()),
-                         [](const auto &info) {
-                             std::string name = info.param;
+                         [](const auto &paramInfo) {
+                             std::string name = paramInfo.param;
                              for (char &c : name) {
                                  if (c == '-')
                                      c = '_';
@@ -175,8 +178,8 @@ TEST_P(SequentialEntry, FailureIsInputDeterministic)
 
 INSTANTIATE_TEST_SUITE_P(Sequential, SequentialEntry,
                          ::testing::ValuesIn(sequentialIds()),
-                         [](const auto &info) {
-                             std::string name = info.param;
+                         [](const auto &paramInfo) {
+                             std::string name = paramInfo.param;
                              for (char &c : name) {
                                  if (c == '-')
                                      c = '_';
@@ -208,14 +211,14 @@ TEST_P(ConcurrencyEntry, DiagnosableBugsExposeTheFpe)
         GTEST_SKIP() << "paper-expected miss";
     // In at least one failing run, the FPE appears in the failure
     // thread's LCR under Conf2.
-    transform::clear(*bug_.program);
-    transform::LcrLogPlan plan;
-    plan.lcrConfigMask = lcrConfSpaceConsuming().pack();
-    transform::applyLcrLog(*bug_.program, plan);
+    transform::LcrLogPlan logPlan;
+    logPlan.lcrConfigMask = lcrConfSpaceConsuming().pack();
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLcrLog(*bug_.program, *plan, logPlan);
 
     bool seen = false;
     for (int i = 0; i < 300 && !seen; ++i) {
-        Machine machine(bug_.program, bug_.failing.forRun(i));
+        Machine machine(bug_.program, bug_.failing.forRun(i), plan);
         RunResult run = machine.run();
         if (!bug_.failing.isFailure(run))
             continue;
@@ -235,14 +238,13 @@ TEST_P(ConcurrencyEntry, DiagnosableBugsExposeTheFpe)
                             rec.store == bug_.truth.fpeStore);
         }
     }
-    transform::clear(*bug_.program);
     EXPECT_TRUE(seen);
 }
 
 INSTANTIATE_TEST_SUITE_P(Concurrency, ConcurrencyEntry,
                          ::testing::ValuesIn(concurrencyIds()),
-                         [](const auto &info) {
-                             std::string name = info.param;
+                         [](const auto &paramInfo) {
+                             std::string name = paramInfo.param;
                              for (char &c : name) {
                                  if (c == '-')
                                      c = '_';

@@ -14,6 +14,7 @@
 #include "diag/log_enhance.hh"
 #include "diag/ranker.hh"
 #include "diag/report.hh"
+#include "vm/machine.hh"
 
 namespace stm
 {
@@ -306,6 +307,24 @@ TEST(LcrLog, Conf1IsMoreSpaceSavingThanConf2)
     ASSERT_GE(p1, 1u);
     ASSERT_GE(p2, 1u);
     EXPECT_LT(p1, p2);
+}
+
+TEST(LogEnhance, LeavesTheProgramUninstrumented)
+{
+    // LBRLOG and LCRLOG run under their own plans: the caller's
+    // shared program still runs bare afterwards.
+    BugSpec bug = corpus::bugById("sort");
+    LbrLogReport lbr = runLbrLog(bug.program, bug.failing);
+    ASSERT_TRUE(lbr.failed);
+    LcrLogReport report = runLcrLog(bug.program, bug.failing);
+    ASSERT_TRUE(report.failed);
+
+    RunResult run =
+        Machine(bug.program, bug.failing.forRun(report.attempts - 1))
+            .run();
+    EXPECT_TRUE(bug.failing.isFailure(run));
+    EXPECT_TRUE(run.profiles.empty());
+    EXPECT_EQ(run.stats.instrumentationInstructions, 0u);
 }
 
 TEST(Lcra, RanksMozillaJs3FpeFirst)

@@ -19,6 +19,24 @@ namespace
 
 using namespace regs;
 
+/** Run @p prog once under the LBRLOG plan @p logPlan. */
+RunResult
+runUnderLbrLog(const ProgramPtr &prog, const transform::LbrLogPlan &logPlan)
+{
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLbrLog(*prog, *plan, logPlan);
+    return Machine(prog, {}, plan).run();
+}
+
+/** Run @p prog once under the LCRLOG plan @p logPlan. */
+RunResult
+runUnderLcrLog(const ProgramPtr &prog, const transform::LcrLogPlan &logPlan)
+{
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLcrLog(*prog, *plan, logPlan);
+    return Machine(prog, {}, plan).run();
+}
+
 /**
  * A program that drives the Figure 7 interface explicitly: reset,
  * configure, enable, do branchy work, disable, profile.
@@ -99,9 +117,9 @@ TEST(Driver, ProfileChargesInstrumentationNotBaseline)
 
 // ---- LCR pollution model (Section 4.3) ------------------------------------
 
-/** Program with LCRLOG instrumentation that fails at an error site. */
-ProgramPtr
-lcrProgram()
+/** Run a program that fails at an error site under LCRLOG (Conf2). */
+RunResult
+runLcrProgram()
 {
     ProgramBuilder b("lcr");
     b.global("g", 4, {1, 2, 3, 4});
@@ -110,19 +128,17 @@ lcrProgram()
     b.loadg(r1, "g", 8);  // same line: exclusive load
     b.logError("fail here");
     b.halt();
-    ProgramPtr prog = b.build();
     transform::LcrLogPlan plan;
     plan.lcrConfigMask = lcrConfSpaceConsuming().pack();
     plan.toggling = false;
-    transform::applyLcrLog(*prog, plan);
-    return prog;
+    return runUnderLcrLog(b.build(), plan);
 }
 
 TEST(Driver, LcrEnablePollutionIsTwoExclusiveReads)
 {
     // At the very start of main, enable injects 2 exclusive reads;
     // under Conf2 both are recorded. They are the oldest entries.
-    RunResult result = Machine(lcrProgram()).run();
+    RunResult result = runLcrProgram();
     ASSERT_FALSE(result.profiles.empty());
     const ProfileRecord &p = result.profiles.back();
     ASSERT_GE(p.lcr.size(), 2u);
@@ -139,7 +155,7 @@ TEST(Driver, LcrDisablePollutionTopsTheProfile)
     // The profile ioctl disables LCR first, which injects 2 exclusive
     // reads and 1 shared read; under Conf2 the 2 exclusive reads are
     // the newest records.
-    RunResult result = Machine(lcrProgram()).run();
+    RunResult result = runLcrProgram();
     const ProfileRecord &p = result.profiles.back();
     ASSERT_GE(p.lcr.size(), 3u);
     EXPECT_EQ(p.lcr[0].observed, MesiState::Exclusive);
@@ -157,12 +173,10 @@ TEST(Driver, LcrConf1PollutionIsOneSharedRead)
     b.loadg(r1, "g", 0);
     b.logError("fail");
     b.halt();
-    ProgramPtr prog = b.build();
     transform::LcrLogPlan plan;
     plan.lcrConfigMask = lcrConfSpaceSaving().pack();
     plan.toggling = false;
-    transform::applyLcrLog(*prog, plan);
-    RunResult result = Machine(prog).run();
+    RunResult result = runUnderLcrLog(b.build(), plan);
     const ProfileRecord &p = result.profiles.back();
     ASSERT_GE(p.lcr.size(), 2u);
     // Under Conf1 only the shared read of the disable pollution
@@ -185,12 +199,10 @@ TEST(Driver, LbrDisableAddsNoUserBranches)
     b.endWhile();
     b.logError("fail");
     b.halt();
-    ProgramPtr prog = b.build();
     transform::LbrLogPlan plan;
     plan.lbrSelectMask = msr::kPaperLbrSelect;
     plan.toggling = false;
-    transform::applyLbrLog(*prog, plan);
-    RunResult result = Machine(prog).run();
+    RunResult result = runUnderLbrLog(b.build(), plan);
     const ProfileRecord &p = result.profiles.back();
     ASSERT_FALSE(p.lbr.empty());
     EXPECT_LT(p.lbr[0].fromIp, layout::kLibraryBase);
@@ -200,27 +212,19 @@ TEST(Driver, LbrDisableAddsNoUserBranches)
 
 TEST(Driver, TogglingSuppressesLibraryBranches)
 {
-    auto makeProgram = [] {
-        ProgramBuilder b("tog");
-        b.func("main");
-        b.movi(r1, 10);
-        b.libcall(LibFn::Generic); // 10 internal branches
-        b.logError("fail");
-        b.halt();
-        return b.build();
-    };
-
-    ProgramPtr withTog = makeProgram();
+    ProgramBuilder b("tog");
+    b.func("main");
+    b.movi(r1, 10);
+    b.libcall(LibFn::Generic); // 10 internal branches
+    b.logError("fail");
+    b.halt();
+    ProgramPtr prog = b.build();
     transform::LbrLogPlan plan;
     plan.lbrSelectMask = msr::kPaperLbrSelect;
     plan.toggling = true;
-    transform::applyLbrLog(*withTog, plan);
-    RunResult togResult = Machine(withTog).run();
-
-    ProgramPtr without = makeProgram();
+    RunResult togResult = runUnderLbrLog(prog, plan);
     plan.toggling = false;
-    transform::applyLbrLog(*without, plan);
-    RunResult rawResult = Machine(without).run();
+    RunResult rawResult = runUnderLbrLog(prog, plan);
 
     auto libraryRecords = [](const RunResult &r) {
         int n = 0;
@@ -238,27 +242,20 @@ TEST(Driver, TogglingSuppressesLibraryBranches)
 
 TEST(Driver, TogglingCostIsInstrumentation)
 {
-    auto makeProgram = [] {
-        ProgramBuilder b("tog");
-        b.func("main");
-        for (int i = 0; i < 5; ++i) {
-            b.movi(r1, 1);
-            b.libcall(LibFn::Generic);
-        }
-        b.halt();
-        return b.build();
-    };
-    ProgramPtr withTog = makeProgram();
+    ProgramBuilder b("tog");
+    b.func("main");
+    for (int i = 0; i < 5; ++i) {
+        b.movi(r1, 1);
+        b.libcall(LibFn::Generic);
+    }
+    b.halt();
+    ProgramPtr prog = b.build();
     transform::LbrLogPlan plan;
     plan.lbrSelectMask = msr::kPaperLbrSelect;
     plan.toggling = true;
-    transform::applyLbrLog(*withTog, plan);
-    RunResult tog = Machine(withTog).run();
-
-    ProgramPtr without = makeProgram();
+    RunResult tog = runUnderLbrLog(prog, plan);
     plan.toggling = false;
-    transform::applyLbrLog(*without, plan);
-    RunResult raw = Machine(without).run();
+    RunResult raw = runUnderLbrLog(prog, plan);
 
     EXPECT_GT(tog.stats.steadyOverhead(),
               raw.stats.steadyOverhead());

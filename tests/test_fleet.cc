@@ -919,8 +919,8 @@ allBugIds()
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, FleetEquivalence, ::testing::ValuesIn(allBugIds()),
-    [](const ::testing::TestParamInfo<std::string> &info) {
-        std::string name = info.param;
+    [](const ::testing::TestParamInfo<std::string> &paramInfo) {
+        std::string name = paramInfo.param;
         std::replace(name.begin(), name.end(), '-', '_');
         return name;
     });
@@ -1111,9 +1111,9 @@ identityCases()
 
 INSTANTIATE_TEST_SUITE_P(
     Identity, FleetSim, ::testing::ValuesIn(identityCases()),
-    [](const ::testing::TestParamInfo<IdentityCase> &info) {
-        return std::string(info.param.name) + "_jobs" +
-               std::to_string(info.param.jobs);
+    [](const ::testing::TestParamInfo<IdentityCase> &paramInfo) {
+        return std::string(paramInfo.param.name) + "_jobs" +
+               std::to_string(paramInfo.param.jobs);
     });
 
 TEST(FleetSim, TransportFaultsDoNotChangeTheRanking)

@@ -175,37 +175,38 @@ configName(Config c)
     return "?";
 }
 
-void
-applyConfig(BugSpec &bug, Config c)
+/** The instrumentation plan configuration @p c runs @p bug under. */
+std::shared_ptr<const Instrumentation>
+configPlan(const BugSpec &bug, Config c)
 {
-    transform::clear(*bug.program);
+    auto plan = std::make_shared<Instrumentation>();
     switch (c) {
       case Config::BareFail:
       case Config::BareSucc:
         break;
       case Config::LogFail:
         if (bug.isConcurrent) {
-            transform::LcrLogPlan plan;
-            plan.lcrConfigMask = lcrConfSpaceConsuming().pack();
-            plan.toggling = true;
-            transform::applyLcrLog(*bug.program, plan);
+            transform::LcrLogPlan logPlan;
+            logPlan.lcrConfigMask = lcrConfSpaceConsuming().pack();
+            logPlan.toggling = true;
+            transform::applyLcrLog(*bug.program, *plan, logPlan);
         } else {
-            transform::LbrLogPlan plan;
-            plan.lbrSelectMask = msr::kPaperLbrSelect;
-            plan.toggling = true;
-            transform::applyLbrLog(*bug.program, plan);
+            transform::LbrLogPlan logPlan;
+            logPlan.lbrSelectMask = msr::kPaperLbrSelect;
+            logPlan.toggling = true;
+            transform::applyLbrLog(*bug.program, *plan, logPlan);
         }
         break;
       case Config::CbiFail:
-        transform::applyCbi(*bug.program);
+        transform::applyCbi(*bug.program, *plan);
         break;
     }
+    return plan;
 }
 
 RunResult
-runConfigDispatch(BugSpec &bug, Config c, DispatchMode mode)
+runConfigDispatch(const BugSpec &bug, Config c, DispatchMode mode)
 {
-    applyConfig(bug, c);
     const Workload &w =
         c == Config::BareSucc ? bug.succeeding : bug.failing;
     std::uint64_t runIndex = c == Config::LogFail   ? 1
@@ -213,12 +214,12 @@ runConfigDispatch(BugSpec &bug, Config c, DispatchMode mode)
                                                     : 0;
     MachineOptions opts = w.forRun(runIndex);
     opts.dispatch = mode;
-    Machine machine(bug.program, opts);
+    Machine machine(bug.program, opts, configPlan(bug, c));
     return machine.run();
 }
 
 RunResult
-runConfig(BugSpec &bug, Config c)
+runConfig(const BugSpec &bug, Config c)
 {
     return runConfigDispatch(bug, c, DispatchMode::Auto);
 }
@@ -433,7 +434,7 @@ configsFor(const BugSpec &bug)
 TEST(GoldenDeterminism, CorpusRunResultsMatchSeedInterpreter)
 {
     bool dump = std::getenv("STM_GOLDEN_DUMP") != nullptr;
-    for (BugSpec &bug : fullRegistry()) {
+    for (const BugSpec &bug : fullRegistry()) {
         for (Config c : configsFor(bug)) {
             std::string key =
                 bug.id + "/" + configName(c);
@@ -464,7 +465,7 @@ TEST(GoldenDeterminism, CorpusRunResultsMatchSeedInterpreter)
  */
 TEST(GoldenDeterminism, ThreadedAndSwitchDispatchAreBitIdentical)
 {
-    for (BugSpec &bug : fullRegistry()) {
+    for (const BugSpec &bug : fullRegistry()) {
         for (Config c : configsFor(bug)) {
             std::string key = bug.id + "/" + configName(c);
             RunResult threaded =

@@ -552,10 +552,11 @@ TEST(Lbr, SelectSweepMatchesNaiveFilterOverKernelNoise)
     // Reference stream: BTS with select 0 appends every retired
     // taken branch in order, kernel-stamped exactly as the LBR runs
     // will see them.
-    ProgramPtr ref = kernelNoiseProgram();
-    ref->instrumentation.btsEnabled = true;
-    ref->instrumentation.btsSelectMask = 0;
-    RunResult refRun = Machine(ref).run();
+    ProgramPtr prog = kernelNoiseProgram();
+    auto refPlan = std::make_shared<Instrumentation>();
+    refPlan->btsEnabled = true;
+    refPlan->btsSelectMask = 0;
+    RunResult refRun = Machine(prog, {}, refPlan).run();
     ASSERT_EQ(refRun.outcome, RunOutcome::Completed);
 
     // The stream must actually exercise every (class, ring) pair, or
@@ -575,18 +576,18 @@ TEST(Lbr, SelectSweepMatchesNaiveFilterOverKernelNoise)
         EXPECT_TRUE(seen(k, true)) << static_cast<int>(k);
     }
 
+    std::uint32_t haltIdx = 0;
+    for (std::uint32_t i = 0; i < prog->code.size(); ++i)
+        if (prog->code[i].op == Opcode::Halt)
+            haltIdx = i;
     for (std::uint64_t select = 0; select < 512; ++select) {
-        ProgramPtr p = kernelNoiseProgram();
-        p->instrumentation.enableLbrAtMain = true;
-        p->instrumentation.lbrSelectMask = select;
-        std::uint32_t haltIdx = 0;
-        for (std::uint32_t i = 0; i < p->code.size(); ++i)
-            if (p->code[i].op == Opcode::Halt)
-                haltIdx = i;
-        p->instrumentation.before[haltIdx].push_back(
+        auto plan = std::make_shared<Instrumentation>();
+        plan->enableLbrAtMain = true;
+        plan->lbrSelectMask = select;
+        plan->before[haltIdx].push_back(
             Hook{HookAction::ProfileLbr, 0, false});
 
-        RunResult run = Machine(p).run();
+        RunResult run = Machine(prog, {}, plan).run();
         ASSERT_EQ(run.outcome, RunOutcome::Completed);
         ASSERT_EQ(run.profiles.size(), 1u) << "select=" << select;
 

@@ -218,10 +218,10 @@ TEST(Integration, BtsAlwaysCapturesButCostsTooMuch)
     // root cause is present) but its per-branch memory writes cost
     // production-scale overhead.
     BugSpec bug = corpus::bugById("ln");
-    transform::clear(*bug.program);
-    transform::applyBts(*bug.program, msr::kPaperLbrSelect);
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyBts(*plan, msr::kPaperLbrSelect);
 
-    Machine failing(bug.program, bug.failing.forRun(0));
+    Machine failing(bug.program, bug.failing.forRun(0), plan);
     RunResult failRun = failing.run();
     ASSERT_TRUE(bug.failing.isFailure(failRun));
     bool found = false;
@@ -231,10 +231,9 @@ TEST(Integration, BtsAlwaysCapturesButCostsTooMuch)
     }
     EXPECT_TRUE(found); // beyond LBR's 16-entry horizon
 
-    Machine production(bug.program, bug.succeeding.forRun(0));
+    Machine production(bug.program, bug.succeeding.forRun(0), plan);
     RunResult prodRun = production.run();
     EXPECT_GT(prodRun.stats.steadyOverhead(), 0.20);
-    transform::clear(*bug.program);
 }
 
 TEST(Integration, NoiseRobustRankingUnderTinyCache)

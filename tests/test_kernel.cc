@@ -527,8 +527,9 @@ TEST(KernelDiag, SyscallUarDiagnosedOnlyWithKernelEventsVisible)
     filtered.log.lcrConfig = lcrConfSpaceConsuming();
     AutoDiagResult without = runLcra(bug.program, bug.failing,
                                      bug.succeeding, filtered);
-    if (without.diagnosed)
+    if (without.diagnosed) {
         EXPECT_EQ(without.positionOf(fpe), 0u);
+    }
 }
 
 } // namespace

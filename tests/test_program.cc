@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "diag/event_key.hh"
 #include "diag/report.hh"
 #include "diag/workload.hh"
@@ -18,6 +20,9 @@ namespace
 {
 
 using namespace regs;
+
+// Programs are shared read-only by every run; plans live beside them.
+static_assert(std::is_const_v<ProgramPtr::element_type>);
 
 ProgramPtr
 smallProgram()

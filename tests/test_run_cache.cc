@@ -156,9 +156,9 @@ TEST(RunCache, MemoizedRunMatchesDirectExecutionWithCacheOff)
     ProgramPtr prog = seededProgram();
     MachineOptions opts;
     RunResult direct = Machine(prog, opts).run();
-    RunResult memo =
-        memoizedRun(prog, nullptr, fingerprintProgram(*prog),
-                    fingerprintMachineOptions(opts), opts);
+    RunResult memo = memoizedRun(
+        prog, nullptr, fingerprintProgram(*prog, Instrumentation{}),
+        fingerprintMachineOptions(opts), opts);
     EXPECT_TRUE(direct == memo);
 }
 
@@ -171,7 +171,7 @@ TEST(RunCache, MemoizedRunServesHitsAndCountsThem)
 
     ProgramPtr prog = seededProgram();
     MachineOptions opts;
-    const std::uint64_t progFp = fingerprintProgram(*prog);
+    const std::uint64_t progFp = fingerprintProgram(*prog, Instrumentation{});
     const std::uint64_t optsFp = fingerprintMachineOptions(opts);
     RunResult first = memoizedRun(prog, nullptr, progFp, optsFp, opts);
     RunResult second =
@@ -192,7 +192,7 @@ TEST(RunCache, VerifyModeReplaysHitsAndAcceptsHonestEntries)
 
     ProgramPtr prog = seededProgram();
     MachineOptions opts;
-    const std::uint64_t progFp = fingerprintProgram(*prog);
+    const std::uint64_t progFp = fingerprintProgram(*prog, Instrumentation{});
     const std::uint64_t optsFp = fingerprintMachineOptions(opts);
     RunResult first = memoizedRun(prog, nullptr, progFp, optsFp, opts);
     RunResult second =
@@ -210,7 +210,7 @@ TEST(RunCache, VerifyModeDetectsAPoisonedEntry)
 
     ProgramPtr prog = seededProgram();
     MachineOptions opts;
-    const std::uint64_t progFp = fingerprintProgram(*prog);
+    const std::uint64_t progFp = fingerprintProgram(*prog, Instrumentation{});
     const std::uint64_t optsFp = fingerprintMachineOptions(opts);
 
     // Plant a wrong result under the exact key memoizedRun will
@@ -233,7 +233,7 @@ TEST(RunCache, ConcurrentHitsInsertsAndEvictionsAreRaceFree)
     ASSERT_NE(cache, nullptr);
 
     ProgramPtr prog = seededProgram();
-    const std::uint64_t progFp = fingerprintProgram(*prog);
+    const std::uint64_t progFp = fingerprintProgram(*prog, Instrumentation{});
     auto makeOpts = [](std::uint64_t i) {
         MachineOptions opts;
         opts.sched.seed = i % 16; // repeated keys: hits race inserts

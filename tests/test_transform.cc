@@ -2,7 +2,9 @@
  * @file
  * Unit tests for the instrumentation transforms: LBRLOG/LCRLOG hook
  * placement, the Figure 8 success-site rules (including hoisting onto
- * the guarding branch), CBI instrumentation, and clearing.
+ * the guarding branch), CBI instrumentation, and the copy-on-write
+ * contract: a plan is built beside an immutable Program and never
+ * leaks into it.
  */
 
 #include <gtest/gtest.h>
@@ -53,9 +55,9 @@ TEST(Transform, LbrLogAttachesProfileAtFailureSites)
     GuardedProgram gp = guardedErrorProgram();
     transform::LbrLogPlan plan;
     plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan);
+    Instrumentation instr;
+    transform::applyLbrLog(*gp.prog, instr, plan);
 
-    const Instrumentation &instr = gp.prog->instrumentation;
     EXPECT_TRUE(instr.enableLbrAtMain);
     EXPECT_TRUE(instr.segfaultProfilesLbr);
     EXPECT_TRUE(instr.toggleLbrAroundLibraries);
@@ -74,13 +76,13 @@ TEST(Transform, SuccessSiteHoistsOntoTheGuardingBranch)
     GuardedProgram gp = guardedErrorProgram();
     transform::LbrLogPlan plan;
     plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan);
+    Instrumentation instr;
+    transform::applyLbrLog(*gp.prog, instr, plan);
     Cfg cfg(*gp.prog);
     transform::applySuccessSites(
-        *gp.prog, cfg, true, transform::SuccessSiteScheme::Reactive,
-        gp.site);
+        *gp.prog, instr, cfg, true,
+        transform::SuccessSiteScheme::Reactive, gp.site);
 
-    const Instrumentation &instr = gp.prog->instrumentation;
     ASSERT_TRUE(instr.before.count(gp.guardBr));
     bool successHook = false;
     for (const auto &hook : instr.before.at(gp.guardBr)) {
@@ -94,17 +96,18 @@ TEST(Transform, SuccessSiteHoistsOntoTheGuardingBranch)
 TEST(Transform, SuccessSiteProfilesInSuccessfulRuns)
 {
     GuardedProgram gp = guardedErrorProgram();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan);
+    transform::LbrLogPlan logPlan;
+    logPlan.lbrSelectMask = msr::kPaperLbrSelect;
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLbrLog(*gp.prog, *plan, logPlan);
     Cfg cfg(*gp.prog);
     transform::applySuccessSites(
-        *gp.prog, cfg, true, transform::SuccessSiteScheme::Reactive,
-        gp.site);
+        *gp.prog, *plan, cfg, true,
+        transform::SuccessSiteScheme::Reactive, gp.site);
 
     // x == 0: the branch is evaluated (false), the run succeeds, and
     // a success-site profile exists.
-    RunResult ok = Machine(gp.prog).run();
+    RunResult ok = Machine(gp.prog, {}, plan).run();
     EXPECT_EQ(ok.outcome, RunOutcome::Completed);
     bool successProfile = false;
     for (const auto &p : ok.profiles)
@@ -114,7 +117,7 @@ TEST(Transform, SuccessSiteProfilesInSuccessfulRuns)
     // x == 1: both the success-site and the failure-site profiles.
     MachineOptions failOpts;
     failOpts.globalOverrides = {{"x", {1}}};
-    RunResult bad = Machine(gp.prog, failOpts).run();
+    RunResult bad = Machine(gp.prog, failOpts, plan).run();
     EXPECT_EQ(bad.outcome, RunOutcome::ErrorLogged);
     bool failureProfile = false;
     for (const auto &p : bad.profiles)
@@ -132,21 +135,22 @@ TEST(Transform, ReactiveSegfaultSiteIsAfterTheFaultingInstr)
     b.out(r2);
     b.halt();
     ProgramPtr prog = b.build();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*prog, plan);
+    transform::LbrLogPlan logPlan;
+    logPlan.lbrSelectMask = msr::kPaperLbrSelect;
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLbrLog(*prog, *plan, logPlan);
     Cfg cfg(*prog);
     transform::applySuccessSites(
-        *prog, cfg, true, transform::SuccessSiteScheme::Reactive,
+        *prog, *plan, cfg, true, transform::SuccessSiteScheme::Reactive,
         kSegfaultSite, faulting);
 
-    ASSERT_TRUE(prog->instrumentation.after.count(faulting));
+    ASSERT_TRUE(plan->after.count(faulting));
 
     // Healthy pointer: the after-hook yields a success profile.
     MachineOptions opts;
     opts.globalOverrides = {{"p", {static_cast<Word>(
                                      layout::kGlobalBase)}}};
-    RunResult ok = Machine(prog, opts).run();
+    RunResult ok = Machine(prog, opts, plan).run();
     EXPECT_EQ(ok.outcome, RunOutcome::Completed);
     bool successProfile = false;
     for (const auto &p : ok.profiles) {
@@ -157,7 +161,7 @@ TEST(Transform, ReactiveSegfaultSiteIsAfterTheFaultingInstr)
     EXPECT_TRUE(successProfile);
 
     // NULL pointer: the segfault handler profiles at the crash.
-    RunResult bad = Machine(prog).run();
+    RunResult bad = Machine(prog, {}, plan).run();
     EXPECT_EQ(bad.outcome, RunOutcome::SegFault);
     bool faultProfile = false;
     for (const auto &p : bad.profiles) {
@@ -184,15 +188,16 @@ TEST(Transform, ProactiveCoversAllFailureSites)
     b.logInfo("not a failure site");
     b.halt();
     ProgramPtr prog = b.build();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*prog, plan);
+    transform::LbrLogPlan logPlan;
+    logPlan.lbrSelectMask = msr::kPaperLbrSelect;
+    Instrumentation plan;
+    transform::applyLbrLog(*prog, plan, logPlan);
     Cfg cfg(*prog);
     transform::applySuccessSites(
-        *prog, cfg, true, transform::SuccessSiteScheme::Proactive);
+        *prog, plan, cfg, true, transform::SuccessSiteScheme::Proactive);
 
     int successHooks = 0;
-    for (const auto &[idx, hooks] : prog->instrumentation.before) {
+    for (const auto &[idx, hooks] : plan.before) {
         for (const auto &hook : hooks)
             successHooks += hook.successSite ? 1 : 0;
     }
@@ -202,8 +207,8 @@ TEST(Transform, ProactiveCoversAllFailureSites)
 TEST(Transform, CbiInstrumentsEverySourceConditional)
 {
     GuardedProgram gp = guardedErrorProgram();
-    transform::applyCbi(*gp.prog, 100.0);
-    const Instrumentation &instr = gp.prog->instrumentation;
+    Instrumentation instr;
+    transform::applyCbi(*gp.prog, instr, 100.0);
     EXPECT_TRUE(instr.cbiEnabled);
     int cbiHooks = 0;
     for (const auto &[idx, hooks] : instr.before) {
@@ -218,37 +223,26 @@ TEST(Transform, CbiInstrumentsEverySourceConditional)
               static_cast<int>(gp.prog->branches.size()));
 }
 
-TEST(Transform, ClearRemovesEverything)
-{
-    GuardedProgram gp = guardedErrorProgram();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan);
-    transform::applyCbi(*gp.prog);
-    transform::clear(*gp.prog);
-    EXPECT_TRUE(gp.prog->instrumentation.empty());
-    EXPECT_FALSE(gp.prog->instrumentation.cbiEnabled);
-}
-
 TEST(Transform, HooksAreIdempotent)
 {
     GuardedProgram gp = guardedErrorProgram();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan);
-    transform::applyLbrLog(*gp.prog, plan); // re-apply
+    transform::LbrLogPlan logPlan;
+    logPlan.lbrSelectMask = msr::kPaperLbrSelect;
+    Instrumentation plan;
+    transform::applyLbrLog(*gp.prog, plan, logPlan);
+    transform::applyLbrLog(*gp.prog, plan, logPlan); // re-apply
     std::uint32_t siteIdx = gp.prog->logSite(gp.site).instrIndex;
-    EXPECT_EQ(gp.prog->instrumentation.before.at(siteIdx).size(),
-              1u);
+    EXPECT_EQ(plan.before.at(siteIdx).size(), 1u);
 }
 
-// ---- copy-on-write overlay forms ------------------------------------------
+// ---- the copy-on-write plan contract --------------------------------------
 
 TEST(TransformOverlay, OverlayLeavesTheBaseProgramUntouched)
 {
     GuardedProgram gp = guardedErrorProgram();
     const std::uint64_t baseFp = fingerprintProgramBase(*gp.prog);
-    const std::uint64_t fullFp = fingerprintProgram(*gp.prog);
+    const std::uint64_t fullFp =
+        fingerprintProgram(*gp.prog, Instrumentation{});
 
     Instrumentation plan;
     transform::LbrLogPlan lbr;
@@ -257,17 +251,25 @@ TEST(TransformOverlay, OverlayLeavesTheBaseProgramUntouched)
     transform::applyCbi(*gp.prog, plan);
 
     EXPECT_FALSE(plan.empty());
-    EXPECT_TRUE(gp.prog->instrumentation.empty());
     EXPECT_EQ(fingerprintProgramBase(*gp.prog), baseFp);
-    EXPECT_EQ(fingerprintProgram(*gp.prog), fullFp);
+    EXPECT_EQ(fingerprintProgram(*gp.prog, Instrumentation{}), fullFp);
     EXPECT_NE(fingerprintProgram(*gp.prog, plan), fullFp);
+
+    // A run without a plan is still uninstrumented.
+    MachineOptions failOpts;
+    failOpts.globalOverrides = {{"x", {1}}};
+    RunResult bare = Machine(gp.prog, failOpts).run();
+    EXPECT_EQ(bare.outcome, RunOutcome::ErrorLogged);
+    EXPECT_TRUE(bare.profiles.empty());
+    EXPECT_TRUE(bare.cbiSiteSamples.empty());
+    EXPECT_EQ(bare.stats.instrumentationInstructions, 0u);
 }
 
 TEST(TransformOverlay, ClearRestoresTheBaseFingerprint)
 {
     GuardedProgram gp = guardedErrorProgram();
     const std::uint64_t emptyFp =
-        fingerprintProgram(*gp.prog, gp.prog->instrumentation);
+        fingerprintProgram(*gp.prog, Instrumentation{});
 
     Instrumentation plan;
     transform::LbrLogPlan lbr;
@@ -279,7 +281,7 @@ TEST(TransformOverlay, ClearRestoresTheBaseFingerprint)
         transform::SuccessSiteScheme::Reactive, gp.site);
     EXPECT_NE(fingerprintProgram(*gp.prog, plan), emptyFp);
 
-    transform::clear(plan);
+    plan = Instrumentation{};
     EXPECT_TRUE(plan.empty());
     EXPECT_EQ(fingerprintProgram(*gp.prog, plan), emptyFp);
 }
@@ -308,46 +310,21 @@ TEST(TransformOverlay, TwoOverlaysOnOneBaseAreIndependent)
     EXPECT_TRUE(lbrRun.cbiSiteSamples.empty());
     EXPECT_FALSE(cbiRun.cbiSiteSamples.empty());
     EXPECT_TRUE(cbiRun.profiles.empty());
-    EXPECT_TRUE(gp.prog->instrumentation.empty());
-}
 
-TEST(TransformOverlay, OverlayRunMatchesInPlaceInstrumentation)
-{
-    transform::LbrLogPlan lbr;
-    lbr.lbrSelectMask = msr::kPaperLbrSelect;
-    MachineOptions failOpts;
-    failOpts.globalOverrides = {{"x", {1}}};
-
-    // Legacy form: mutate the program's own instrumentation.
-    GuardedProgram inPlace = guardedErrorProgram();
-    transform::applyLbrLog(*inPlace.prog, lbr);
-    Cfg cfg1(*inPlace.prog);
-    transform::applySuccessSites(
-        *inPlace.prog, cfg1, true,
-        transform::SuccessSiteScheme::Reactive, inPlace.site);
-    RunResult a = Machine(inPlace.prog, failOpts).run();
-
-    // Overlay form: identical plan against an untouched base.
-    GuardedProgram base = guardedErrorProgram();
-    auto plan = std::make_shared<Instrumentation>();
-    transform::applyLbrLog(*base.prog, *plan, lbr);
-    Cfg cfg2(*base.prog);
-    transform::applySuccessSites(
-        *base.prog, *plan, cfg2, true,
-        transform::SuccessSiteScheme::Reactive, base.site);
-    RunResult b = Machine(base.prog, failOpts, plan).run();
-
-    EXPECT_TRUE(a == b); // bit-exact RunResult equality
-    EXPECT_EQ(fingerprintProgram(*inPlace.prog),
-              fingerprintProgram(*base.prog, *plan));
+    // Neither plan leaked into the base.
+    RunResult bare = Machine(gp.prog, failOpts).run();
+    EXPECT_TRUE(bare.profiles.empty());
+    EXPECT_TRUE(bare.cbiSiteSamples.empty());
+    EXPECT_EQ(bare.stats.instrumentationInstructions, 0u);
 }
 
 TEST(Transform, CbiSamplingObservesPredicates)
 {
     // With a mean period of 1 every branch execution is sampled.
     GuardedProgram gp = guardedErrorProgram();
-    transform::applyCbi(*gp.prog, 1.0);
-    RunResult result = Machine(gp.prog).run();
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyCbi(*gp.prog, *plan, 1.0);
+    RunResult result = Machine(gp.prog, {}, plan).run();
     EXPECT_FALSE(result.cbiSiteSamples.empty());
     // x == 0: the guard evaluated false.
     bool sawFalse = false;

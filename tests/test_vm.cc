@@ -672,11 +672,12 @@ TEST(Vm, IndirectBranchesAreFilterableLbrClasses)
     b.func("callee");
     b.ret();
     ProgramPtr prog = b.build();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = 0; // record everything
-    plan.toggling = false;
-    transform::applyLbrLog(*prog, plan);
-    RunResult all = Machine(prog).run();
+    transform::LbrLogPlan logPlan;
+    logPlan.lbrSelectMask = 0; // record everything
+    logPlan.toggling = false;
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLbrLog(*prog, *plan, logPlan);
+    RunResult all = Machine(prog, {}, plan).run();
     bool sawIndirect = false;
     for (const auto &rec : all.profiles.back().lbr) {
         sawIndirect = sawIndirect ||
@@ -684,10 +685,10 @@ TEST(Vm, IndirectBranchesAreFilterableLbrClasses)
     }
     EXPECT_TRUE(sawIndirect);
 
-    transform::clear(*prog);
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*prog, plan);
-    RunResult filtered = Machine(prog).run();
+    logPlan.lbrSelectMask = msr::kPaperLbrSelect;
+    auto filteredPlan = std::make_shared<Instrumentation>();
+    transform::applyLbrLog(*prog, *filteredPlan, logPlan);
+    RunResult filtered = Machine(prog, {}, filteredPlan).run();
     for (const auto &rec : filtered.profiles.back().lbr) {
         EXPECT_NE(rec.kind, BranchKind::NearIndirectCall);
     }
