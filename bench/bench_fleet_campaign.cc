@@ -91,9 +91,13 @@ timedCampaign(const fleet::CampaignPools &pools,
 std::string
 withCommas(std::uint64_t n)
 {
-    std::string s = std::to_string(n);
-    for (int i = static_cast<int>(s.size()) - 3; i > 0; i -= 3)
-        s.insert(static_cast<std::size_t>(i), ",");
+    std::string digits = std::to_string(n);
+    std::string s;
+    for (std::size_t i = 0; i < digits.size(); ++i) {
+        if (i != 0 && (digits.size() - i) % 3 == 0)
+            s += ',';
+        s += digits[i];
+    }
     return s;
 }
 

@@ -4,37 +4,29 @@
  *
  * The collection service (src/fleet) is the chokepoint of the paper's
  * deployment story: every profile a production machine reports
- * crosses fingerprint -> dedup -> shard ring before the streaming
- * ranker sees it. This bench measures the zero-copy producer path —
- * submit() encoding frames straight into per-producer arenas and
- * publishing ring descriptors, while a consumer drains views in
- * place — across shards {1, 2, 4, 8} × producers {1, 2, 4, 8}, plus
- * a payload-size sweep (LBR ring depth 0/8/32/128) and one wire-path
- * reference configuration (pre-serialized frames through ingest(),
- * which adds CRC validation and one frame memcpy).
- *
- * Per-producer scaling efficiency is reported for every
- * multi-producer configuration: rate(P) / rate(1) at the same shard
- * count and payload. The lock-free rings must not collapse under
- * contention — the acceptance bar is monotonically non-decreasing
- * throughput from 1 to 4 producers.
+ * crosses validation -> fingerprint -> dedup -> fold before the
+ * streaming ranker sees it. This bench measures that in-order intake
+ * on one thread: the submit() path (encode into the collector's
+ * reused buffer, then the full ingest path) at a payload-size sweep
+ * (LBR ring depth 0/8/32/128), and one wire-path reference row
+ * (pre-serialized frames through ingest()). The fold keeps a set of
+ * prints, as an in-memory pipeline's does.
  *
  * Output: human-readable table on stdout plus machine-readable
  * BENCH_fleet_ingest.json (override with --out FILE), embedding the
  * collector's own StatGroup::toJson() accounting so the numbers are
  * cross-checkable against what the service believes happened.
  *
- * The single-shard single-producer configuration is checked against a
- * 1M reports/sec floor (--check-floor makes the check explicit for
- * CI; --no-check disables it): one shard must absorb a fleet's worth
- * of reports with fingerprint dedup on, or the service, not the
- * fleet, is the bottleneck.
+ * The submit row at the default payload is checked against a 1M
+ * reports/sec floor (--check-floor makes the check explicit for CI;
+ * --no-check disables it): one intake must absorb a fleet's worth of
+ * reports with fingerprint dedup on, or the service, not the fleet,
+ * is the bottleneck.
  *
  * Flags: --reports N frames per configuration (default 40000);
  * --repeat N best-of-N per configuration (default 3).
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -42,7 +34,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "fleet/collector.hh"
@@ -84,16 +76,11 @@ syntheticProfile(Pcg32 &rng, std::uint64_t serial,
 
 struct ConfigResult
 {
-    std::string path; //!< "submit" (zero-copy) or "wire" (compat)
-    unsigned shards = 0;
-    unsigned producers = 0;
+    std::string path; //!< "submit" (encode + ingest) or "wire"
     unsigned lbrEntries = 0;
     std::uint64_t reports = 0;
     std::uint64_t wireBytes = 0;
     double wallSec = 0.0;
-    /** rate(P) / rate(1) at the same shards and payload; 1.0 for the
-     * single-producer baseline itself. */
-    double scalingEfficiency = 1.0;
     std::string statsJson;
 
     double
@@ -106,71 +93,33 @@ struct ConfigResult
 };
 
 /**
- * One timed pass: @p producers threads split the reports evenly and
- * submit them into a fresh bounded collector while a consumer thread
- * drains views in place, exactly the shape of the live service. The
- * clock stops when every report has been both accepted and drained.
+ * One timed pass: every report through a fresh collector, in order,
+ * on this thread. The clock covers ingest and fold.
  */
 ConfigResult
 timeConfigOnce(const std::vector<fleet::RunProfile> &profiles,
-               const std::vector<std::vector<std::uint8_t>> &frames,
-               unsigned shards, unsigned producers)
+               const std::vector<std::vector<std::uint8_t>> &frames)
 {
     bool wirePath = !frames.empty();
-    fleet::CollectorOptions opts;
-    opts.shards = shards;
-    opts.shardCapacity = 4096;
-    opts.overflow = fleet::OverflowPolicy::Block;
-    fleet::Collector collector(opts);
+    std::unordered_set<std::uint64_t> seen;
+    seen.reserve(profiles.size());
+    fleet::Collector collector(
+        [&](const fleet::RunProfileView &, std::uint64_t print) {
+            return seen.insert(print).second;
+        });
 
     ConfigResult out;
     out.path = wirePath ? "wire" : "submit";
-    out.shards = shards;
-    out.producers = producers;
     out.reports = profiles.size();
 
-    // Start barrier: thread creation stays outside the timed region
-    // so producer counts are compared on ingest work alone.
-    std::atomic<bool> producing{true};
-    std::atomic<unsigned> ready{0};
-    std::atomic<bool> go{false};
-    std::thread consumer([&] {
-        std::size_t drained = 0;
-        while (drained < profiles.size()) {
-            drained += collector.drainViews(
-                [](const fleet::RunProfileView &, std::uint64_t) {});
-            if (!producing.load(std::memory_order_acquire) &&
-                collector.queued() == 0 &&
-                drained >= profiles.size())
-                break;
-            std::this_thread::yield();
-        }
-    });
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < producers; ++t) {
-        threads.emplace_back([&, t] {
-            ready.fetch_add(1, std::memory_order_relaxed);
-            while (!go.load(std::memory_order_acquire))
-                std::this_thread::yield();
-            if (wirePath) {
-                for (std::size_t i = t; i < frames.size();
-                     i += producers)
-                    collector.ingest(frames[i]);
-            } else {
-                for (std::size_t i = t; i < profiles.size();
-                     i += producers)
-                    collector.submit(profiles[i]);
-            }
-        });
-    }
-    while (ready.load(std::memory_order_relaxed) < producers)
-        std::this_thread::yield();
     auto start = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    for (auto &t : threads)
-        t.join();
-    producing.store(false, std::memory_order_release);
-    consumer.join();
+    if (wirePath) {
+        for (const auto &frame : frames)
+            collector.ingest(frame);
+    } else {
+        for (const auto &profile : profiles)
+            collector.submit(profile);
+    }
     std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     out.wallSec = elapsed.count();
@@ -183,13 +132,11 @@ timeConfigOnce(const std::vector<fleet::RunProfile> &profiles,
 ConfigResult
 timeConfig(const std::vector<fleet::RunProfile> &profiles,
            const std::vector<std::vector<std::uint8_t>> &frames,
-           unsigned shards, unsigned producers,
            std::uint64_t repeats)
 {
     ConfigResult best;
     for (std::uint64_t rep = 0; rep < repeats; ++rep) {
-        ConfigResult r =
-            timeConfigOnce(profiles, frames, shards, producers);
+        ConfigResult r = timeConfigOnce(profiles, frames);
         if (rep == 0 || r.wallSec < best.wallSec)
             best = r;
     }
@@ -199,21 +146,17 @@ timeConfig(const std::vector<fleet::RunProfile> &profiles,
 void
 printRow(const ConfigResult &r, unsigned payload_bytes)
 {
-    std::ostringstream ws, rate, mbs, eff;
+    std::ostringstream ws, rate, mbs;
     ws << std::fixed << std::setprecision(3) << r.wallSec;
     rate << std::fixed << std::setprecision(0) << r.rate() / 1e3;
     mbs << std::fixed << std::setprecision(1)
         << (r.wallSec > 0.0
                 ? static_cast<double>(r.wireBytes) / 1e6 / r.wallSec
                 : 0.0);
-    eff << std::fixed << std::setprecision(2)
-        << r.scalingEfficiency;
     std::cout << cell(r.path, 8)
-              << cell(std::to_string(r.shards), 8)
-              << cell(std::to_string(r.producers), 11)
               << cell(std::to_string(payload_bytes), 10)
               << cell(ws.str(), 9) << cell(rate.str(), 12)
-              << cell(mbs.str(), 8) << cell(eff.str(), 6) << '\n';
+              << cell(mbs.str(), 8) << '\n';
 }
 
 void
@@ -228,17 +171,13 @@ writeJson(const std::string &path,
         const ConfigResult &r = results[i];
         os.precision(6);
         os << "    {\"path\": \"" << r.path
-           << "\", \"shards\": " << r.shards
-           << ", \"producers\": " << r.producers
-           << ", \"lbr_entries\": " << r.lbrEntries
+           << "\", \"lbr_entries\": " << r.lbrEntries
            << ", \"reports\": " << r.reports
            << ", \"wire_bytes\": " << r.wireBytes
            << ", \"wall_sec\": " << r.wallSec
            << ", \"reports_per_sec\": ";
         os.precision(0);
-        os << r.rate() << ",\n     \"scaling_efficiency\": ";
-        os.precision(3);
-        os << r.scalingEfficiency
+        os << r.rate()
            << ",\n     \"collector\": " << r.statsJson << "}"
            << (i + 1 < results.size() ? "," : "") << "\n";
     }
@@ -293,60 +232,41 @@ main(int argc, char **argv)
 
     std::cout << "Fleet collector ingest throughput (" << reports
               << " reports per config, best of " << repeats
-              << ")\n\n"
-              << cell("path", 8) << cell("shards", 8)
-              << cell("producers", 11) << cell("frame B", 10)
+              << ", one thread)\n\n"
+              << cell("path", 8) << cell("frame B", 10)
               << cell("wall s", 9) << cell("Kreports/s", 12)
-              << cell("MB/s", 8) << cell("eff", 6) << '\n';
+              << cell("MB/s", 8) << '\n';
 
     std::vector<ConfigResult> results;
     std::vector<std::vector<std::uint8_t>> noFrames;
 
-    // 1. Shard × producer grid on the zero-copy path, default payload.
-    for (unsigned shards : {1u, 2u, 4u, 8u}) {
-        double baseRate = 0.0;
-        for (unsigned producers : {1u, 2u, 4u, 8u}) {
-            ConfigResult r = timeConfig(profiles, noFrames, shards,
-                                        producers, repeats);
-            r.lbrEntries = kDefaultLbrEntries;
-            if (producers == 1)
-                baseRate = r.rate();
-            else if (baseRate > 0.0)
-                r.scalingEfficiency = r.rate() / baseRate;
-            printRow(r, defaultPayload);
-            results.push_back(std::move(r));
-        }
+    // 1. The submit path at the default payload (the floor row).
+    {
+        ConfigResult r = timeConfig(profiles, noFrames, repeats);
+        r.lbrEntries = kDefaultLbrEntries;
+        printRow(r, defaultPayload);
+        results.push_back(std::move(r));
     }
 
-    // 2. Payload-size sweep, single shard, producers {1, 4}.
+    // 2. Payload-size sweep on the submit path.
     for (unsigned lbrEntries : {0u, 32u, 128u}) {
         std::vector<fleet::RunProfile> sized =
             buildProfiles(lbrEntries);
         unsigned payload = static_cast<unsigned>(
             fleet::encodedFrameSize(sized.front()));
-        double baseRate = 0.0;
-        for (unsigned producers : {1u, 4u}) {
-            ConfigResult r = timeConfig(sized, noFrames, 1,
-                                        producers, repeats);
-            r.lbrEntries = lbrEntries;
-            if (producers == 1)
-                baseRate = r.rate();
-            else if (baseRate > 0.0)
-                r.scalingEfficiency = r.rate() / baseRate;
-            printRow(r, payload);
-            results.push_back(std::move(r));
-        }
+        ConfigResult r = timeConfig(sized, noFrames, repeats);
+        r.lbrEntries = lbrEntries;
+        printRow(r, payload);
+        results.push_back(std::move(r));
     }
 
-    // 3. Wire-path reference (pre-serialized frames through the
-    // validating, one-memcpy compatibility path).
+    // 3. Wire-path reference: pre-serialized frames through ingest().
     {
         std::vector<std::vector<std::uint8_t>> frames;
         frames.reserve(profiles.size());
         for (const auto &p : profiles)
             frames.push_back(fleet::serialize(p));
-        ConfigResult r =
-            timeConfig(profiles, frames, 1, 1, repeats);
+        ConfigResult r = timeConfig(profiles, frames, repeats);
         r.lbrEntries = kDefaultLbrEntries;
         printRow(r, defaultPayload);
         results.push_back(std::move(r));
@@ -356,14 +276,13 @@ main(int argc, char **argv)
     std::cout << "\n(written to " << outPath << ")\n";
 
     if (check) {
-        // results[0] is submit path, shards=1, producers=1.
+        // results[0] is the submit path at the default payload.
         double single = results.front().rate();
         std::cout << "floor check: " << std::fixed
                   << std::setprecision(2) << single / kFloorRate
-                  << "x of the 1M reports/sec single-shard floor\n";
+                  << "x of the 1M reports/sec intake floor\n";
         if (single < kFloorRate) {
-            std::cerr << "FAIL: single-shard ingest below 1M "
-                         "reports/sec\n";
+            std::cerr << "FAIL: intake below 1M reports/sec\n";
             return 1;
         }
     }

@@ -20,13 +20,4 @@ Ranker::rank(bool include_absence) const
     return cache_;
 }
 
-void
-Ranker::importStats(scoring::SufficientStats stats)
-{
-    tallies_ = std::move(stats.tallies);
-    failures_ = stats.failures;
-    successes_ = stats.successes;
-    cacheValid_ = false;
-}
-
 } // namespace stm

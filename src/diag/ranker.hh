@@ -14,9 +14,10 @@
  * not encountering a shared state"); the ranker therefore optionally
  * scores absence predicates over the same event universe.
  *
- * One Ranker serves every consumer: the in-process LBRA/LCRA
- * campaign, the fleet's streaming drain (fleet/fleet_sim.hh holds the
- * wire-report ingest functions) and the durable collector. Per
+ * One Ranker serves the in-process LBRA/LCRA campaign and the
+ * fleet's streaming intake (fleet/fleet_sim.hh holds the wire-report
+ * ingest functions); the durable collector ranks its report store
+ * through the same scoring::rankTallies. Per
  * profile it updates the sufficient statistics — the per-event
  * tallies |F&e| and |S&e| plus the profile counts |F| and |S| — in
  * O(|profile events|); scoring is deferred to rank() and cached until
@@ -73,18 +74,15 @@ class Ranker
     rank(bool include_absence = false) const;
 
     /**
-     * The complete sufficient statistics: everything rank() consumes.
-     * importStats(exportStats()) on a fresh ranker reproduces the
-     * identical ranking — the durable checkpoint/recovery contract.
+     * The complete sufficient statistics: everything rank() consumes
+     * (a RankerSnapshot's sufficientStats() over the same reports is
+     * equal).
      */
     scoring::SufficientStats
     exportStats() const
     {
         return {tallies_, failures_, successes_};
     }
-
-    /** Replace all state with @p stats (checkpoint restore). */
-    void importStats(scoring::SufficientStats stats);
 
   private:
     scoring::TallyMap tallies_;

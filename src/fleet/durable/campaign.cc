@@ -15,11 +15,11 @@ namespace
 /**
  * Fix glibc's mmap threshold at its 128 KiB default (process-wide,
  * once). Left dynamic, it rises to the first large block freed, and
- * later collector arenas, dedup tables and callers' serialize()
- * images are carved from the brk heap, which keeps their pages after
- * the free: the same campaigns then peak megabytes apart depending
- * on what the process allocated before. Snapshot file images skip
- * malloc altogether (PageBuffer).
+ * later multi-megabyte blocks (callers' serialize() images) are
+ * carved from the brk heap, which keeps their pages after the free:
+ * the same campaigns then peak megabytes apart depending on what the
+ * process allocated before. Snapshot file images skip malloc
+ * altogether (PageBuffer).
  */
 void
 mapLargeBlocks()
@@ -109,22 +109,30 @@ runDurableCampaign(const CampaignPools &pools,
         durable.dir = opts.dir;
         durable.collectorId = c + 1;
         durable.walRotateBytes = opts.walRotateBytes;
-        durable.collector = opts.collector;
         fleet.push_back(std::make_unique<DurableCollector>(durable));
     }
 
-    auto ship = [&](RunProfile report, std::uint64_t machine,
-                    std::uint64_t h) {
-        report.machineId = machine;
-        report.runSeed = h;
-        std::vector<std::uint8_t> frame = serialize(report);
+    // Each pool report is encoded once; a machine's report is its
+    // prototype's frame restamped with the machine and run seed in
+    // one reused buffer.
+    auto encodeAll = [](const std::vector<RunProfile> &pool) {
+        std::vector<std::vector<std::uint8_t>> frames;
+        frames.reserve(pool.size());
+        for (const RunProfile &p : pool)
+            frames.push_back(serialize(p));
+        return frames;
+    };
+    const std::vector<std::vector<std::uint8_t>> failureFrames =
+        encodeAll(pools.failures);
+    const std::vector<std::vector<std::uint8_t>> successFrames =
+        encodeAll(pools.successes);
+    std::vector<std::uint8_t> frame;
+
+    auto ship = [&](const std::vector<std::uint8_t> &proto,
+                    std::uint64_t machine, std::uint64_t h) {
+        frame.assign(proto.begin(), proto.end());
+        restampFrame(frame.data(), frame.size(), machine, h);
         DurableCollector &dest = *fleet[machine % collectors];
-        // The campaign loop is single-threaded: it is also the
-        // consumer. Drain before the bounded ring can fill, or a
-        // Block-policy collector would wait forever on itself.
-        if (dest.inner().queued() * 2 >=
-            opts.collector.shardCapacity)
-            dest.pump();
         IngestStatus status = dest.ingest(frame);
         ++result.framesSent;
         if (status == IngestStatus::Duplicate)
@@ -139,28 +147,37 @@ runDurableCampaign(const CampaignPools &pools,
     };
 
     bool pinned = false;
+    std::uint64_t every = opts.successSampleEvery;
     for (std::uint32_t round = 1; round <= opts.maxRounds; ++round) {
         bool instrumented =
             opts.scheme == transform::SuccessSiteScheme::Proactive ||
             pinned;
+        // The success sampler picks the machines with
+        // (m + round) % every == 0: the first is (-round) mod every,
+        // then one every `every` machines.
+        std::uint64_t nextSample =
+            every == 0 ? ~std::uint64_t{0}
+                       : (every - round % every) % every;
         for (std::uint64_t m = 0; m < machines; ++m) {
+            bool sampled = m == nextSample;
+            if (sampled)
+                nextSample += every;
             std::uint64_t coin = campaignHash(opts.seed, m, round, 0);
             if (coin < threshold) {
                 // Failure: the crash report always ships.
-                const RunProfile &proto =
-                    pools.failures[coin % pools.failures.size()];
+                const std::vector<std::uint8_t> &proto =
+                    failureFrames[coin % failureFrames.size()];
                 if (ship(proto, m, coin) == IngestStatus::Accepted)
                     ++result.failureReports;
                 if (!pinned) {
                     pinned = true;
                     result.pinRound = round;
                 }
-            } else if (instrumented && opts.successSampleEvery != 0 &&
-                       (m + round) % opts.successSampleEvery == 0) {
+            } else if (instrumented && sampled) {
                 std::uint64_t h =
                     campaignHash(opts.seed, m, round, 1);
-                const RunProfile &proto =
-                    pools.successes[h % pools.successes.size()];
+                const std::vector<std::uint8_t> &proto =
+                    successFrames[h % successFrames.size()];
                 if (ship(proto, m, h) == IngestStatus::Accepted)
                     ++result.successReports;
             }

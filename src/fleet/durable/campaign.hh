@@ -19,9 +19,10 @@
  *
  * The reports themselves are real: a capture pool gathered by
  * FleetSim's instrumentation pipeline (real LBR/LCR events of the
- * bug), cloned per reporting machine with its identity rewritten, so
- * every machine's report is a distinct wire frame (distinct
- * fingerprint) carrying genuine diagnosis events.
+ * bug), each encoded once and cloned per reporting machine with its
+ * identity restamped (restampFrame), so every machine's report is a
+ * distinct wire frame (distinct fingerprint) carrying genuine
+ * diagnosis events.
  *
  * Transport is the durable path end to end: machine m's frame goes
  * to collector m % C; at every round boundary each collector rolls
@@ -80,8 +81,6 @@ struct CampaignOptions
     std::uint64_t seed = 1;
     /** WAL rotation for each collector. */
     std::size_t walRotateBytes = std::size_t{4} << 20;
-    /** Inner collector shape. */
-    CollectorOptions collector;
 };
 
 /** Outcome of one campaign. */

@@ -55,7 +55,10 @@ mergeSnapshotDir(const std::string &dir)
 
 DurableCollector::DurableCollector(const DurableOptions &opts)
     : dir_(opts.dir), collectorId_(opts.collectorId),
-      collector_(opts.collector),
+      collector_([this](const RunProfileView &view,
+                        std::uint64_t print) {
+          return fold(view, print);
+      }),
       stats_(strfmt("fleet.durable{}", opts.collectorId))
 {
     if (collectorId_ == 0)
@@ -70,16 +73,15 @@ DurableCollector::DurableCollector(const DurableOptions &opts)
                                        opts.walRotateBytes);
 }
 
-void
-DurableCollector::foldView(const RunProfileView &view,
-                           std::uint64_t print)
+bool
+DurableCollector::fold(const RunProfileView &view, std::uint64_t print)
 {
-    auto [it, inserted] =
-        store_.reports_.emplace(print, ReportDigest{});
+    auto [it, inserted] = store_.reports_.try_emplace(print);
     if (!inserted)
-        return; // cross-restart duplicate already folded
+        return false;
+    wal_->append(epoch_, view.frame(), view.frameSize());
     it->second = digestOfView(view);
-    ranker_.addProfile(it->second.failure, it->second.events);
+    return true;
 }
 
 void
@@ -107,7 +109,6 @@ DurableCollector::recover()
         recovery_.snapshotLoaded = true;
         recovery_.snapshotEpoch = snap.epoch();
         recovery_.snapshotReports = snap.reportCount();
-        ranker_.importStats(snap.sufficientStats());
         baseEpoch = snap.epoch();
         epoch_ = snap.epoch() + 1;
         store_ = std::move(snap);
@@ -115,8 +116,8 @@ DurableCollector::recover()
 
     // Replay the WAL tail: records from epochs the snapshot covers
     // are skipped (their reports are already in the store); younger
-    // records re-validate and fold through the identical digest path
-    // an uninterrupted pump() would have taken.
+    // records re-validate and join the store through the digest an
+    // uninterrupted ingest would have folded.
     WalReplayResult replay = replayWalDir(
         dir_, collectorId_, [&](const WalRecord &rec) {
             if (haveSnap && rec.epoch <= baseEpoch) {
@@ -128,20 +129,14 @@ DurableCollector::recover()
                                 &view) != FrameStatus::Ok) {
                 return; // WAL CRC passed but frame is hostile: skip
             }
-            // No ring here to carry an ingest fingerprint: hash.
-            foldView(view, fingerprintPayload(view.payload(),
-                                              view.payloadSize()));
+            auto [it, inserted] = store_.reports_.try_emplace(
+                fingerprintPayload(view.payload(), view.payloadSize()));
+            if (inserted)
+                it->second = digestOfView(view);
             ++recovery_.walRecordsReplayed;
             epoch_ = std::max(epoch_, rec.epoch);
         });
     recovery_.walTail = replay.status;
-
-    // An at-least-once transport will re-send everything recovered;
-    // preseeding the dedup sets turns those into Duplicates, which
-    // is what makes the recovered ranking identical to the
-    // uninterrupted one.
-    for (const auto &[print, digest] : store_.reports())
-        collector_.preseed(print);
 
     recovery_.recovered =
         haveSnap || recovery_.walRecordsReplayed != 0 ||
@@ -149,68 +144,30 @@ DurableCollector::recover()
     recovery_.resumedEpoch = epoch_;
 }
 
-IngestStatus
-DurableCollector::ingest(const std::uint8_t *data, std::size_t size)
-{
-    IngestStatus status = collector_.ingest(data, size);
-    if (status == IngestStatus::Accepted) {
-        std::lock_guard<std::mutex> lock(walMu_);
-        wal_->append(epoch_, data, size);
-    }
-    return status;
-}
-
-IngestStatus
-DurableCollector::submit(const RunProfile &profile)
-{
-    // The WAL stores wire frames (so recovery is one code path), so
-    // the convenience route encodes first and takes the wire path.
-    std::vector<std::uint8_t> frame = serialize(profile);
-    return ingest(frame.data(), frame.size());
-}
-
-std::size_t
-DurableCollector::pump()
-{
-    return collector_.drainViews(
-        [&](const RunProfileView &view, std::uint64_t print) {
-            foldView(view, print);
-        });
-}
-
 const RankerSnapshot &
 DurableCollector::rollEpoch()
 {
-    pump();
-    // One point-in-time cut of every gauge and counter — the stats a
-    // snapshot is labelled with must not mix instants (the published
-    // values feed --stats-json at the epoch boundary).
-    collector_.publishAll();
     store_.collectorId_ = collectorId_;
     store_.epoch_ = epoch_;
-    {
-        std::lock_guard<std::mutex> lock(walMu_);
-        wal_->flush();
-        std::string path = dir_ + "/" +
-                           snapshotFileName(collectorId_, epoch_);
-        std::size_t bytes = 0;
-        if (!store_.writeFile(path, &bytes))
-            fatal("cannot write snapshot {}", path);
-        lastSnapshotBytes_ = bytes;
-        ++snapshotsWritten_;
-        // Whole-store snapshot: everything at epochs <= epoch_ is
-        // covered, so all non-active segments up to it are garbage,
-        // and so are older snapshot files.
-        segmentsPruned_ += wal_->prune(epoch_);
-        for (const std::string &old : listSnapshotFiles(dir_)) {
-            std::string prefix = dir_ + "/snap-" +
-                                 std::to_string(collectorId_) + "-";
-            if (old.rfind(prefix, 0) == 0 && old != path)
-                std::remove(old.c_str());
-        }
-        ++epochsRolled_;
-        ++epoch_;
+    wal_->flush();
+    std::string path = snapshotPath(epoch_);
+    std::size_t bytes = 0;
+    if (!store_.writeFile(path, &bytes))
+        fatal("cannot write snapshot {}", path);
+    lastSnapshotBytes_ = bytes;
+    ++snapshotsWritten_;
+    // Whole-store snapshot: everything at epochs <= epoch_ is
+    // covered, so all non-active segments up to it are garbage, and
+    // so are older snapshot files.
+    segmentsPruned_ += wal_->prune(epoch_);
+    std::string prefix =
+        dir_ + "/snap-" + std::to_string(collectorId_) + "-";
+    for (const std::string &old : listSnapshotFiles(dir_)) {
+        if (old.rfind(prefix, 0) == 0 && old != path)
+            std::remove(old.c_str());
     }
+    ++epochsRolled_;
+    ++epoch_;
     return store_;
 }
 

@@ -1,53 +1,44 @@
 /**
  * @file
- * DurableCollector: the epoched, crash-recoverable shell around the
- * in-memory Collector + Ranker pair.
+ * DurableCollector: the epoched, crash-recoverable collector. Its one
+ * state is the deduplicated report store, a RankerSnapshot keyed by
+ * fingerprint, which is also its dedup set and the source of its
+ * ranking.
  *
- * Lifecycle of one accepted report:
+ * Lifecycle of one report, all inside ingest(frame):
  *
- *   ingest(frame) ── inner Collector validates, dedups, queues
- *        │                    (Accepted only ↓)
- *        └── WAL append: the raw frame, stamped with the current
- *            epoch, is appended to the segment-rotated log before
- *            the call returns. Appends are buffered; the buffer is
- *            flushed at every epoch roll, so a crash can lose only
- *            the tail of the *current* epoch — and the transport is
- *            at-least-once, so those frames are re-sent after
- *            restart (and only those: everything recovered is
- *            preseeded as a Duplicate).
- *
- *   pump() ── drain the inner collector's rings: each view folds
- *             into the deduplicated report store (fingerprint →
- *             ReportDigest) and the Ranker, keyed by the
- *             fingerprint ingest computed for dedup (the ring carries
- *             it, so the payload is hashed once per report).
+ *   1. the inner Collector validates the frame untrusted and
+ *      fingerprints the payload once;
+ *   2. dedup on the store: a print already there is a Duplicate;
+ *   3. WAL append: the raw frame, stamped with the current epoch, is
+ *      appended to the segment-rotated log. Appends are buffered and
+ *      flushed at every epoch roll, so a crash can lose only the
+ *      tail of the *current* epoch; the transport is at-least-once,
+ *      so those frames are re-sent after restart;
+ *   4. fold: the report's digest (failure label and event set) joins
+ *      the store.
  *
  *   rollEpoch() ── the epoch boundary, in order:
- *       1. pump()                (nothing accepted is left queued)
- *       2. Collector::publishAll() (one point-in-time stats cut)
- *       3. WAL flush
- *       4. stamp the live store (a RankerSnapshot) with this
- *          epoch and write it in place, without copying it
- *          (tmp + rename: readers never see a torn snapshot); the
- *          returned reference is the live store, valid until the
- *          next fold
- *       5. prune WAL segments fully covered by the snapshot (the
+ *       1. WAL flush
+ *       2. stamp the store with this epoch and write it in place,
+ *          without copying it (tmp + rename: readers never see a
+ *          torn snapshot); the returned reference is the live
+ *          store, valid until the next fold
+ *       3. prune WAL segments fully covered by the snapshot (the
  *          writer remembers the last epoch of each segment it
  *          closed, so only a segment left by an earlier process is
  *          ever read, and only once)
- *       6. epoch += 1
+ *       4. epoch += 1
  *
- * Recovery (constructor, when the durable directory has state):
- * load the newest decodable snapshot, import its report store and
- * sufficient statistics, then replay WAL records from epochs the
- * snapshot does not cover, in order, through the same digest fold.
- * Every recovered fingerprint is preseeded into the inner
- * collector's dedup sets, so an at-least-once transport that
- * retransmits old frames sees Duplicate — which is what makes the
- * post-recovery ranking *provably* identical to an uninterrupted
- * run's: the deduplicated report set is identical, and the ranking
- * is a pure function of that set (tests/test_fleet_durable.cc kills
- * a collector mid-epoch and asserts bit-identical rankings).
+ * Recovery (constructor, when the durable directory has state): load
+ * the newest decodable snapshot as the store, then replay WAL records
+ * from epochs the snapshot does not cover, in order, into it. The
+ * recovered store is the dedup set, so a retransmitted recovered
+ * frame is a Duplicate with nothing to preseed. That is what makes
+ * the post-recovery ranking identical to an uninterrupted run's: the
+ * deduplicated report set is identical, and the ranking is a pure
+ * function of that set (tests/test_fleet_durable.cc kills a collector
+ * mid-epoch and asserts bit-identical rankings).
  *
  * Snapshots are whole-store (not deltas): snapshot at epoch E covers
  * *all* epochs <= E, so recovery needs exactly one snapshot plus the
@@ -60,11 +51,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "diag/ranker.hh"
 #include "fleet/collector.hh"
 #include "fleet/durable/snapshot.hh"
 #include "fleet/durable/wal.hh"
@@ -87,8 +76,6 @@ struct DurableOptions
     std::uint64_t collectorId = 1;
     /** WAL segment rotation threshold in bytes. */
     std::size_t walRotateBytes = std::size_t{4} << 20;
-    /** Inner in-memory collector configuration. */
-    CollectorOptions collector;
 };
 
 /** What recovery found, if anything. */
@@ -119,52 +106,49 @@ class DurableCollector
     const RecoveryReport &recovery() const { return recovery_; }
 
     /**
-     * Validate, dedup, queue, and — if accepted — spill the frame to
-     * the WAL under the current epoch. Thread-safe (WAL appends are
-     * serialized internally).
+     * Validate, dedup on the store, append to the WAL under the
+     * current epoch and fold, before returning.
      */
-    IngestStatus ingest(const std::uint8_t *data, std::size_t size);
+    IngestStatus
+    ingest(const std::uint8_t *data, std::size_t size)
+    {
+        return collector_.ingest(data, size);
+    }
 
     IngestStatus
     ingest(const std::vector<std::uint8_t> &wire)
     {
-        return ingest(wire.data(), wire.size());
+        return collector_.ingest(wire);
     }
 
     /** Encode + ingest (the profile-producer convenience path). */
-    IngestStatus submit(const RunProfile &profile);
+    IngestStatus
+    submit(const RunProfile &profile)
+    {
+        return collector_.submit(profile);
+    }
 
     /**
-     * Drain everything queued in the inner collector into the report
-     * store and ranker. Returns reports folded. Single consumer.
-     */
-    std::size_t pump();
-
-    /**
-     * Close the current epoch: pump, publish stats, flush + snapshot
-     * + prune, advance the epoch counter. Returns the snapshot just
-     * written (epoch = the epoch that closed): a reference to the
-     * live store, stamped and encoded in place, whose contents hold
-     * until the next fold (pump(), rollEpoch()). Copy it to keep it.
+     * Close the current epoch: flush + snapshot + prune, advance the
+     * epoch counter. Returns the snapshot just written (epoch = the
+     * epoch that closed): a reference to the live store, stamped and
+     * encoded in place, whose contents hold until the next ingest.
+     * Copy it to keep it.
      */
     const RankerSnapshot &rollEpoch();
 
-    /** Current ranking over everything pumped so far. */
-    const std::vector<RankedEvent> &
+    /** Current ranking over every stored report. */
+    std::vector<RankedEvent>
     rank(bool include_absence = false) const
     {
-        return ranker_.rank(include_absence);
+        return store_.rank(include_absence);
     }
 
     std::size_t storedReports() const { return store_.reportCount(); }
     const RankerSnapshot::ReportMap &store() const { return store_.reports(); }
-    const Ranker &ranker() const { return ranker_; }
 
-    Collector &inner() { return collector_; }
+    /** The intake, for its "fleet.collector" metrics. */
     const Collector &inner() const { return collector_; }
-
-    /** Close the inner collector's intake. */
-    void close() { collector_.close(); }
 
     /**
      * Durable-layer metrics, published at call time: counters
@@ -180,25 +164,21 @@ class DurableCollector
 
   private:
     void recover();
-    /** Fold one report, keyed by its fingerprint @p print. */
-    void foldView(const RunProfileView &view, std::uint64_t print);
+    /** The intake's fold: dedup on the store, WAL append, digest. */
+    bool fold(const RunProfileView &view, std::uint64_t print);
 
     std::string dir_;
     std::uint64_t collectorId_;
-    Collector collector_;
-    Ranker ranker_;
     /**
      * The deduplicated report store. rollEpoch() stamps its id and
      * epoch; between rolls they still name the last snapshot.
      */
     RankerSnapshot store_;
+    Collector collector_;
     /** Created after recovery so replay never reads the new segment. */
     std::unique_ptr<WalWriter> wal_;
     std::uint64_t epoch_ = 0;
     RecoveryReport recovery_;
-
-    /** Serializes WAL appends (producers may ingest concurrently). */
-    std::mutex walMu_;
 
     std::uint64_t epochsRolled_ = 0;
     std::uint64_t snapshotsWritten_ = 0;

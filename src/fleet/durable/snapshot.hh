@@ -118,10 +118,10 @@ class RankerSnapshot
     void merge(RankerSnapshot other);
 
     /**
-     * The sufficient statistics the snapshot projects to: exactly
-     * what Ranker::importStats() accepts, derived by folding every
-     * digest. Two snapshots with equal report maps
-     * yield equal statistics.
+     * The sufficient statistics the snapshot projects to, derived by
+     * folding every digest: equal to Ranker::exportStats() of a
+     * ranker fed the same reports. Two snapshots with equal report
+     * maps yield equal statistics.
      */
     scoring::SufficientStats sufficientStats() const;
 

@@ -1,5 +1,7 @@
 #include "fleet/fleet_sim.hh"
 
+#include <unordered_set>
+
 #include "diag/campaign.hh"
 
 namespace stm::fleet
@@ -64,7 +66,7 @@ captureFleetReports(const BugSpec &bug, const FleetOptions &opts)
 
 FleetResult
 runFleetDiagnosis(const BugSpec &bug, const FleetOptions &opts,
-                  Collector *collector)
+                  StatGroup *collector_stats)
 {
     FleetCapture capture = captureFleetReports(bug, opts);
 
@@ -75,27 +77,21 @@ runFleetDiagnosis(const BugSpec &bug, const FleetOptions &opts,
     result.failureAttempts = capture.failureAttempts;
     result.successAttempts = capture.successAttempts;
 
-    CollectorOptions copts;
-    copts.shards = opts.shards;
-    copts.shardCapacity = opts.shardCapacity;
-    copts.overflow = opts.overflow;
-    Collector local(copts);
-    Collector &sink = collector ? *collector : local;
+    // The collector folds each novel report into the ranker on
+    // arrival, straight from its wire view, without materializing a
+    // RunProfile; the set of prints is its dedup.
+    Ranker ranker;
+    std::unordered_set<std::uint64_t> seen;
+    Collector collector([&](const RunProfileView &v,
+                            std::uint64_t print) {
+        if (!seen.insert(print).second)
+            return false;
+        ingest(ranker, v);
+        return true;
+    });
 
     // Transport: every report crosses the wire; injected
     // retransmissions and corruptions exercise dedup and the CRC.
-    // The ranker consumes after every frame — the streaming shape a
-    // live service has, and what keeps a single-threaded driver from
-    // blocking on its own full shard under OverflowPolicy::Block.
-    // The drain side is the zero-copy path: each frame is decoded in
-    // place from the collector's arena and folded into the ranker
-    // without ever materializing a RunProfile.
-    Ranker ranker;
-    auto pump = [&] {
-        sink.drainViews([&](const RunProfileView &v, std::uint64_t) {
-            ingest(ranker, v);
-        });
-    };
     std::uint64_t sent = 0;
     for (const RunProfile &p : capture.reports) {
         std::vector<std::uint8_t> frame = serialize(p);
@@ -105,22 +101,21 @@ runFleetDiagnosis(const BugSpec &bug, const FleetOptions &opts,
             sent % opts.corruptEvery == 0) {
             std::vector<std::uint8_t> damaged = frame;
             damaged[damaged.size() / 2] ^= 0x40;
-            sink.ingest(damaged);
+            collector.ingest(damaged);
             ++sent; // the agent re-sends the intact frame
         }
-        sink.ingest(frame);
+        collector.ingest(frame);
         if (opts.duplicateEvery != 0 &&
             sent % opts.duplicateEvery == 0) {
-            sink.ingest(frame);
+            collector.ingest(frame);
             ++sent;
         }
-        pump();
     }
     result.framesSent = sent;
-    pump();
-    result.duplicates = sink.stats().value("duplicates");
-    result.decodeErrors = sink.stats().value("decode_errors");
-    result.dropped = sink.stats().value("dropped");
+    result.duplicates = collector.stats().value("duplicates");
+    result.decodeErrors = collector.stats().value("decode_errors");
+    if (collector_stats)
+        *collector_stats = collector.stats();
 
     if (ranker.failureProfiles() == 0 || ranker.successProfiles() == 0)
         return result;

@@ -15,9 +15,9 @@
  *      with its machine (attempt i runs on machine i mod N) and
  *      replay seed, turning it into a RunProfile report.
  *   2. Transport: every report is serialized to a wire frame and
- *      travels through the Collector (sharded, deduplicated,
- *      accounted) -> drain -> the Ranker, via the ingest functions
- *      below.
+ *      travels through the Collector (validated, deduplicated,
+ *      accounted), which folds it into the Ranker on arrival, via
+ *      the ingest functions below.
  *
  * Because the campaign's decisions replay in strict attempt order
  * (exec/run_pool.hh) and the Ranker is order-independent
@@ -47,11 +47,6 @@ struct FleetOptions
 {
     /** Simulated fleet size: attempt i runs on machine i mod N. */
     std::uint64_t machines = 16;
-    /** Collector ingest shards. */
-    unsigned shards = 4;
-    /** Collector per-shard queue bound. */
-    std::size_t shardCapacity = 4096;
-    OverflowPolicy overflow = OverflowPolicy::Block;
 
     /** Failure / success reports to aggregate (the paper's 10+10). */
     std::uint32_t failureProfiles = 10;
@@ -117,7 +112,6 @@ struct FleetResult
     std::uint64_t framesSent = 0;    //!< includes retransmissions
     std::uint64_t duplicates = 0;    //!< suppressed by the collector
     std::uint64_t decodeErrors = 0;  //!< rejected by wire validation
-    std::uint64_t dropped = 0;       //!< shed under OverflowPolicy::Drop
 
     /** 1-based rank of @p event; 0 if unranked. */
     std::size_t
@@ -135,30 +129,28 @@ void ingest(Ranker &ranker, const RunProfile &report);
 
 /**
  * Fold one report straight from its wire view (the collector's
- * zero-copy drain path): records are decoded register-to-register
- * into the event set, never materialized into vectors. Tallies
- * identically to ingest(RunProfile) over the same report.
+ * intake path): records are decoded register-to-register into the
+ * event set, never materialized into vectors. Tallies identically to
+ * ingest(RunProfile) over the same report.
  */
 void ingest(Ranker &ranker, const RunProfileView &report);
 
 /**
  * Run the capture phase only: instrument, pin, and gather the fleet's
  * RunProfiles without transport. The reports vector is deterministic
- * for any worker count; the equivalence tests permute/re-shard it.
+ * for any worker count; the equivalence tests permute it.
  */
 FleetCapture captureFleetReports(const BugSpec &bug,
                                  const FleetOptions &opts = {});
 
 /**
  * Full pipeline: capture, then serialize -> wire -> collector ->
- * ranker. When @p collector is non-null the transport
- * runs through it (it must be freshly constructed; its shard count
- * overrides opts.shards), so callers can inspect per-shard metrics
- * afterwards; otherwise an internal collector is used.
+ * ranker. When @p collector_stats is non-null it receives the
+ * collector's "fleet.collector" metrics at the end.
  */
 FleetResult runFleetDiagnosis(const BugSpec &bug,
                               const FleetOptions &opts = {},
-                              Collector *collector = nullptr);
+                              StatGroup *collector_stats = nullptr);
 
 } // namespace stm::fleet
 

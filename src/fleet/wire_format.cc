@@ -69,6 +69,16 @@ serialize(const RunProfile &profile)
     return frame;
 }
 
+void
+restampFrame(std::uint8_t *frame, std::size_t size,
+             std::uint64_t machine_id, std::uint64_t run_seed)
+{
+    std::uint8_t *payload = frame + kFrameHeaderSize;
+    le::put(payload, machine_id);
+    le::put(payload + 8, run_seed);
+    sealFrame(kWireFrame, frame, size - kFrameHeaderSize);
+}
+
 FrameStatus
 decodeFrameView(const std::uint8_t *data, std::size_t size,
                 RunProfileView *out, bool trusted)

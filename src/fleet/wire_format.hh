@@ -30,18 +30,20 @@
  *  - decodeFrameView() fills a non-owning RunProfileView over the
  *    frame bytes: scalars are decoded into the view, the LBR/LCR
  *    records stay encoded in place and are unpacked register-to-
- *    register on access. This is the collector's zero-copy drain
- *    path — no allocation, no byte copy, same FrameStatus partition
- *    as deserialize() on any input.
+ *    register on access. This is the collector's intake path — no
+ *    allocation, no byte copy, same FrameStatus partition as
+ *    deserialize() on any input.
  *
  * Producers can also encode without intermediate buffers:
  * encodedFrameSize() is exact, and serializeInto() writes the frame
- * directly into caller memory (the per-producer arena). The canonical
- * fingerprint — FNV-1a over the encoded payload — is computed by
- * streaming the encoder into the hash, so fingerprint(profile) never
- * allocates either; fingerprintPayload() gives the same value from
- * already-encoded payload bytes, which is what the collector uses so
- * the hot path hashes each byte exactly once.
+ * directly into caller memory; restampFrame() rewrites an encoded
+ * frame's machine and seed, so a producer that clones one report
+ * many times encodes it once. The canonical fingerprint — FNV-1a
+ * over the encoded payload — is computed by streaming the encoder
+ * into the hash, so fingerprint(profile) never allocates either;
+ * fingerprintPayload() gives the same value from already-encoded
+ * payload bytes, which is what the collector uses so the intake
+ * hashes each byte exactly once.
  */
 
 #ifndef STM_FLEET_WIRE_FORMAT_HH
@@ -133,6 +135,10 @@ class RunProfileView
     const std::uint8_t *payload() const { return payload_; }
     std::size_t payloadSize() const { return payloadLen_; }
 
+    /** The whole frame a decoded view aliases: header, then payload. */
+    const std::uint8_t *frame() const { return payload_ - kFrameHeaderSize; }
+    std::size_t frameSize() const { return kFrameHeaderSize + payloadLen_; }
+
     /** Copy out an owning RunProfile (the API-boundary escape). */
     RunProfile materialize() const;
 
@@ -170,13 +176,20 @@ encodedFrameSize(const RunProfile &profile)
 }
 
 /**
- * Encode @p profile directly into caller memory (the zero-copy
- * producer path: @p out points into the producer's arena and must
- * have room for encodedFrameSize(profile) bytes). Returns the frame
- * size written.
+ * Encode @p profile directly into caller memory, which must have room
+ * for encodedFrameSize(profile) bytes. Returns the frame size written.
  */
 std::size_t serializeInto(const RunProfile &profile,
                           std::uint8_t *out);
+
+/**
+ * Rewrite the machineId and runSeed of the encoded frame @p frame
+ * (@p size bytes, as serialize() wrote it) and reseal it. The result
+ * is byte-identical to serialize() of the profile with those two
+ * fields replaced: they are the payload's first 16 bytes.
+ */
+void restampFrame(std::uint8_t *frame, std::size_t size,
+                  std::uint64_t machine_id, std::uint64_t run_seed);
 
 /**
  * Decode one frame. On success fills @p out and returns Ok; on any
@@ -199,16 +212,16 @@ deserialize(const std::vector<std::uint8_t> &wire, RunProfile *out)
  * but no allocation and no byte copy; @p out aliases @p data.
  *
  * @p trusted skips the CRC pass and the per-record enum range walk
- * for bytes that already passed validation (the collector's drain
- * re-decoding frames its own ingest validated); structural bounds
- * are still enforced. Hostile input must always use the default.
+ * for bytes that already passed validation; structural bounds and
+ * the reserved header flags are still enforced. Hostile input must
+ * always use the default.
  */
 FrameStatus decodeFrameView(const std::uint8_t *data, std::size_t size,
                             RunProfileView *out, bool trusted = false);
 
 /**
  * Validate one frame without materializing anything: returns exactly
- * the status deserialize() would. The collector's ingest boundary.
+ * the status deserialize() would.
  */
 inline FrameStatus
 validateFrame(const std::uint8_t *data, std::size_t size)
@@ -223,7 +236,7 @@ validateFrame(const std::uint8_t *data, std::size_t size)
  * the hash (no buffer, no allocation). Equal profiles fingerprint
  * equally on every machine; any field difference changes the
  * fingerprint (up to hash collision). Used for duplicate suppression
- * and shard routing.
+ * (the collector's and the durable store's key).
  */
 std::uint64_t fingerprint(const RunProfile &profile);
 

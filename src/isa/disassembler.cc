@@ -11,7 +11,9 @@ namespace
 std::string
 reg(RegId r)
 {
-    return "r" + std::to_string(static_cast<int>(r));
+    std::string name(1, 'r');
+    name += std::to_string(static_cast<int>(r));
+    return name;
 }
 
 } // namespace

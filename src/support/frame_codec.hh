@@ -18,7 +18,8 @@
  *
  *    The CRC (IEEE 802.3, support/checksum) covers bytes [4, 12) —
  *    version, flags and length — plus the payload, so any corruption
- *    past the magic is caught.
+ *    past the magic is caught. The flags are reserved: written 0,
+ *    and a frame with any set is Malformed.
  *
  * The WAL's segment and record headers have their own shapes; it uses
  * only the byte access and FrameStatus.
@@ -279,9 +280,11 @@ sealFrame(const FrameSpec &spec, std::uint8_t *frame,
  * this order: Truncated (short header), BadMagic, BadVersion (before
  * the CRC: a future version may change its domain), Malformed (payload
  * over spec.maxPayload), Truncated (fewer bytes than the length
- * claims), Malformed (trailing bytes), BadCrc. @p check_crc false
- * skips the CRC pass, for bytes already verified. On Ok,
- * @p payload_len receives the payload length.
+ * claims), Malformed (trailing bytes), BadCrc, Malformed (nonzero
+ * reserved flags; after the CRC, so a flipped flags byte stays
+ * BadCrc). @p check_crc false skips the CRC pass, for bytes already
+ * verified; the flags check still applies. On Ok, @p payload_len
+ * receives the payload length.
  */
 inline FrameStatus
 verifyFrame(const FrameSpec &spec, const std::uint8_t *data,
@@ -304,6 +307,8 @@ verifyFrame(const FrameSpec &spec, const std::uint8_t *data,
     if (check_crc &&
         frameCrc(data, len) != le::get<std::uint32_t>(data + 12))
         return FrameStatus::BadCrc;
+    if (le::get<std::uint16_t>(data + 6) != 0)
+        return FrameStatus::Malformed;
     *payload_len = len;
     return FrameStatus::Ok;
 }

@@ -171,6 +171,19 @@ walSegmentHeader(std::uint64_t collector_id)
     return h;
 }
 
+/**
+ * @p frame with its reserved header flags set to @p flags and the CRC
+ * recomputed, so only the flags check can refuse it.
+ */
+inline std::vector<std::uint8_t>
+withFlags(std::vector<std::uint8_t> frame, std::uint16_t flags)
+{
+    le::put(frame.data() + 6, flags);
+    le::put(frame.data() + 12,
+            frameCrc(frame.data(), frame.size() - kFrameHeaderSize));
+    return frame;
+}
+
 // ---- codec adapters -----------------------------------------------------
 
 /** One valid encoding and what a decoder must recover from it. */

@@ -31,8 +31,9 @@ constexpr FrameSpec kTestFrame{0x54534554u, 3, 64};
 std::vector<std::uint8_t>
 sealed(const std::vector<std::uint8_t> &payload)
 {
-    std::vector<std::uint8_t> frame(kFrameHeaderSize);
-    frame.insert(frame.end(), payload.begin(), payload.end());
+    std::vector<std::uint8_t> frame(kFrameHeaderSize + payload.size());
+    std::copy(payload.begin(), payload.end(),
+              frame.begin() + kFrameHeaderSize);
     sealFrame(kTestFrame, frame.data(), payload.size());
     return frame;
 }
@@ -167,6 +168,16 @@ TEST(FrameCodec, VerifyChecksInTheDocumentedOrder)
     // Skipping the CRC pass accepts it; the structure checks stay.
     EXPECT_EQ(verify(f, false), FrameStatus::Ok);
     f.push_back(0);
+    EXPECT_EQ(verify(f, false), FrameStatus::Malformed);
+
+    // Reserved flags come last: a flipped flags byte is BadCrc, a
+    // resealed nonzero one Malformed, on the trusted path too.
+    f = good;
+    f[6] ^= 1;
+    EXPECT_EQ(verify(f), FrameStatus::BadCrc);
+    EXPECT_EQ(verify(f, false), FrameStatus::Malformed);
+    f = test::withFlags(good, 0x8000);
+    EXPECT_EQ(verify(f), FrameStatus::Malformed);
     EXPECT_EQ(verify(f, false), FrameStatus::Malformed);
 }
 
@@ -344,6 +355,29 @@ TEST_P(HostileBytes, RandomGarbageNeverDecodes)
             b = static_cast<std::uint8_t>(rng.next());
         EXPECT_NE(codec.decode(junk).status, FrameStatus::Ok)
             << "garbage " << i;
+    }
+}
+
+TEST_P(HostileBytes, ResealedReservedFlagsAreMalformed)
+{
+    // Nonzero reserved flags under a valid CRC: every framed format
+    // refuses the frame. The WAL's segment header is not a frame
+    // header; its flags gate no record, so every record replays.
+    for (const test::Image &img : images) {
+        for (std::uint16_t flags : {1, 0x8000}) {
+            if (codec.preamble == 0) {
+                test::Decoded d =
+                    decodePrefixOf(img, test::withFlags(img.bytes, flags));
+                EXPECT_EQ(d.status, FrameStatus::Malformed);
+                EXPECT_TRUE(d.items.empty());
+            } else {
+                std::vector<std::uint8_t> bytes = img.bytes;
+                le::put(bytes.data() + 6, flags);
+                test::Decoded d = decodePrefixOf(img, bytes);
+                EXPECT_EQ(d.status, FrameStatus::Ok);
+                EXPECT_EQ(d.items.size(), img.items.size());
+            }
+        }
     }
 }
 

@@ -243,6 +243,11 @@ TEST_F(ObsTest, EncodePinsGoldenBytes)
     auto status = decodeTrace(golden, &decoded);
     EXPECT_EQ(status, decltype(status)::Ok);
     EXPECT_EQ(decoded, events);
+    // Reserved flags must be 0, even under a valid CRC.
+    std::vector<TraceEvent> untouched;
+    EXPECT_EQ(decodeTrace(test::withFlags(golden, 1), &untouched),
+              FrameStatus::Malformed);
+    EXPECT_TRUE(untouched.empty());
 }
 
 TEST_F(ObsTest, TrailingBytesAreMalformed)

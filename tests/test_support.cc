@@ -2,27 +2,20 @@
  * @file
  * Unit tests for the support library: the ring buffer (the data
  * structure backing LBR/LCR), logging helpers, deterministic PRNG,
- * statistics, the CRC32, and the lock-free transport primitives
- * behind the fleet collector (MPSC sequence ring, frame arena,
- * fingerprint set).
+ * statistics, the CRC32 and whole-file reads.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <thread>
 #include <vector>
 
 #include "support/checksum.hh"
 #include "support/file_io.hh"
-#include "support/fingerprint_set.hh"
-#include "support/frame_arena.hh"
 #include "support/logging.hh"
-#include "support/mpsc_ring.hh"
 #include "support/random.hh"
 #include "support/ring_buffer.hh"
 #include "support/stats.hh"
@@ -530,319 +523,6 @@ TEST(ReadWholeFile, MissingFileFailsAndLeavesOutputEmpty)
     PageBuffer mapped(3);
     EXPECT_FALSE(readWholeFile(missing, &mapped));
     EXPECT_EQ(mapped.size(), 0u);
-}
-
-// ---- MpscRing ------------------------------------------------------------
-
-TEST(MpscRing, RoundsCapacityUpToAPowerOfTwo)
-{
-    EXPECT_EQ(MpscRing<int>(0).capacity(), 1u);
-    EXPECT_EQ(MpscRing<int>(1).capacity(), 1u);
-    EXPECT_EQ(MpscRing<int>(3).capacity(), 4u);
-    EXPECT_EQ(MpscRing<int>(5).capacity(), 8u);
-    EXPECT_EQ(MpscRing<int>(1024).capacity(), 1024u);
-}
-
-TEST(MpscRing, FullAndEmptyBoundariesAreExact)
-{
-    MpscRing<int> ring(4);
-    int out = -1;
-    EXPECT_TRUE(ring.empty());
-    EXPECT_FALSE(ring.tryPop(&out));
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(ring.tryPush(i)) << i;
-    EXPECT_EQ(ring.size(), 4u);
-    EXPECT_FALSE(ring.tryPush(99)); // full: policy decision is the caller's
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(ring.tryPop(&out));
-        EXPECT_EQ(out, i); // FIFO
-    }
-    EXPECT_FALSE(ring.tryPop(&out));
-    EXPECT_TRUE(ring.empty());
-}
-
-TEST(MpscRing, WrapsAtEveryCapacity)
-{
-    // Fill-to-full / drain-to-empty laps at every small power-of-two
-    // capacity: the head and tail tickets cross the wrap point dozens
-    // of times and every popped value must still come out in push
-    // order. This is the test that catches sequence-encoding
-    // collisions (the classic `ticket + 1` scheme fails at capacity 1).
-    for (std::size_t cap : {1, 2, 4, 8, 16}) {
-        MpscRing<std::uint64_t> ring(cap);
-        std::uint64_t next = 0;
-        std::uint64_t expect = 0;
-        for (int lap = 0; lap < 50; ++lap) {
-            // Vary the burst size so laps start at every ring phase.
-            std::size_t burst = lap % cap + 1;
-            for (std::size_t i = 0; i < burst; ++i)
-                ASSERT_TRUE(ring.tryPush(next++))
-                    << "cap " << cap << " lap " << lap;
-            std::uint64_t out = 0;
-            for (std::size_t i = 0; i < burst; ++i) {
-                ASSERT_TRUE(ring.tryPop(&out));
-                ASSERT_EQ(out, expect++) << "cap " << cap;
-            }
-        }
-        EXPECT_TRUE(ring.empty());
-    }
-}
-
-TEST(MpscRing, CapacityOneAlternatesPushAndPop)
-{
-    MpscRing<int> ring(1);
-    ASSERT_EQ(ring.capacity(), 1u);
-    int out = -1;
-    for (int i = 0; i < 100; ++i) {
-        ASSERT_TRUE(ring.tryPush(i));
-        // A second push must fail, not overwrite the unconsumed slot.
-        ASSERT_FALSE(ring.tryPush(i + 1000));
-        ASSERT_TRUE(ring.tryPop(&out));
-        ASSERT_EQ(out, i);
-        ASSERT_FALSE(ring.tryPop(&out));
-    }
-}
-
-TEST(MpscRing, ResidentRecordSurvivesManyLaps)
-{
-    // Keep one record resident while the ring laps around it: the
-    // recycled-sequence bookkeeping must keep the old record intact
-    // until its own pop.
-    MpscRing<std::uint64_t> ring(4);
-    ASSERT_TRUE(ring.tryPush(0));
-    std::uint64_t next = 1;
-    std::uint64_t expect = 0;
-    std::uint64_t out = 0;
-    for (int step = 0; step < 200; ++step) {
-        ASSERT_TRUE(ring.tryPush(next++));
-        ASSERT_TRUE(ring.tryPop(&out));
-        ASSERT_EQ(out, expect++);
-    }
-    ASSERT_TRUE(ring.tryPop(&out));
-    EXPECT_EQ(out, expect);
-}
-
-/** Hammer @p ring with @p producers threads and pop from the calling
- * thread, asserting per-producer FIFO order and total conservation. */
-void
-hammerRing(MpscRing<std::uint64_t> &ring, unsigned producers,
-           std::uint64_t per_producer)
-{
-    std::atomic<bool> go{false};
-    std::vector<std::thread> threads;
-    for (unsigned p = 0; p < producers; ++p) {
-        threads.emplace_back([&ring, &go, p, per_producer] {
-            while (!go.load(std::memory_order_acquire))
-                std::this_thread::yield();
-            for (std::uint64_t i = 0; i < per_producer; ++i) {
-                std::uint64_t v = (std::uint64_t{p} << 32) | i;
-                while (!ring.tryPush(v))
-                    std::this_thread::yield();
-            }
-        });
-    }
-    go.store(true, std::memory_order_release);
-    std::vector<std::uint64_t> nextOf(producers, 0);
-    std::uint64_t seen = 0;
-    std::uint64_t out = 0;
-    while (seen < producers * per_producer) {
-        if (!ring.tryPop(&out)) {
-            std::this_thread::yield();
-            continue;
-        }
-        std::uint64_t p = out >> 32;
-        std::uint64_t i = out & 0xFFFFFFFFu;
-        ASSERT_LT(p, producers);
-        // Per-producer FIFO: producer p's records arrive in order,
-        // none lost, none duplicated.
-        ASSERT_EQ(i, nextOf[p]) << "producer " << p;
-        ++nextOf[p];
-        ++seen;
-    }
-    for (auto &t : threads)
-        t.join();
-    EXPECT_FALSE(ring.tryPop(&out)); // conservation: nothing extra
-    EXPECT_TRUE(ring.empty());
-}
-
-TEST(MpscRing, ConcurrentProducersConserveEveryRecord)
-{
-    MpscRing<std::uint64_t> ring(64);
-    hammerRing(ring, 4, 10000);
-}
-
-TEST(MpscRing, ConcurrentProducersAtCapacityOne)
-{
-    // The degenerate ring is all contention: every push fights for
-    // the single slot while the consumer recycles it.
-    MpscRing<std::uint64_t> ring(1);
-    hammerRing(ring, 2, 3000);
-}
-
-// ---- FrameArena ----------------------------------------------------------
-
-TEST(FrameArena, BumpsWithinARegionAndTracksInflight)
-{
-    FrameArena arena(16384);
-    EXPECT_EQ(arena.regionSize(), 4096u);
-    std::uint8_t *a = arena.reserve(100);
-    ASSERT_NE(a, nullptr);
-    std::uint8_t *b = arena.reserve(50);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(b, a + 100); // contiguous bump within one region
-    EXPECT_EQ(arena.inflightBytes(), 150u);
-    EXPECT_TRUE(arena.owns(a));
-    EXPECT_TRUE(arena.owns(b));
-    arena.complete(a, 100);
-    arena.complete(b, 50);
-    EXPECT_EQ(arena.inflightBytes(), 0u);
-}
-
-TEST(FrameArena, RefusesFramesLargerThanARegion)
-{
-    FrameArena arena(16384);
-    EXPECT_EQ(arena.reserve(4097), nullptr); // heap detour, not policy
-    EXPECT_NE(arena.reserve(4096), nullptr); // exactly a region fits
-}
-
-TEST(FrameArena, UnreserveRollsBackTheLastReservation)
-{
-    FrameArena arena(16384);
-    std::uint8_t *a = arena.reserve(64);
-    ASSERT_NE(a, nullptr);
-    std::uint8_t *b = arena.reserve(32);
-    ASSERT_NE(b, nullptr);
-    arena.unreserve(b, 32);
-    EXPECT_EQ(arena.inflightBytes(), 64u);
-    // The rolled-back bytes are handed out again immediately.
-    EXPECT_EQ(arena.reserve(32), b);
-}
-
-TEST(FrameArena, RegionsRecycleOnlyAfterCompletion)
-{
-    FrameArena arena(16384);
-    std::uint8_t *frames[FrameArena::kRegions];
-    for (auto &f : frames) {
-        f = arena.reserve(4096); // each fills one region exactly
-        ASSERT_NE(f, nullptr);
-    }
-    // Every region is in flight: backpressure, never overwrite.
-    EXPECT_EQ(arena.reserve(1), nullptr);
-    // Completing the oldest region reopens exactly its bytes...
-    arena.complete(frames[0], 4096);
-    EXPECT_EQ(arena.reserve(4096), frames[0]);
-    // ...and the next region over is still protected.
-    EXPECT_EQ(arena.reserve(1), nullptr);
-}
-
-TEST(FrameArena, OwnsRejectsForeignPointers)
-{
-    FrameArena arena(16384);
-    std::uint8_t local = 0;
-    EXPECT_FALSE(arena.owns(&local));
-    std::uint8_t *p = arena.reserve(8);
-    ASSERT_NE(p, nullptr);
-    EXPECT_TRUE(arena.owns(p));
-    EXPECT_TRUE(arena.owns(p + 7));
-}
-
-// ---- FingerprintSet ------------------------------------------------------
-
-TEST(FingerprintSet, InsertIsExactlyOnceSequentially)
-{
-    FingerprintSet set(16);
-    EXPECT_FALSE(set.contains(7));
-    EXPECT_TRUE(set.insert(7));
-    EXPECT_FALSE(set.insert(7));
-    EXPECT_TRUE(set.contains(7));
-    EXPECT_EQ(set.size(), 1u);
-}
-
-TEST(FingerprintSet, StoresTheReservedEncodings)
-{
-    // 0 and ~0 are the empty/tombstone slot encodings; they must
-    // still be storable fingerprints (side flags).
-    FingerprintSet set;
-    const std::uint64_t ones = ~std::uint64_t{0};
-    EXPECT_TRUE(set.insert(0));
-    EXPECT_FALSE(set.insert(0));
-    EXPECT_TRUE(set.contains(0));
-    EXPECT_TRUE(set.insert(ones));
-    EXPECT_FALSE(set.insert(ones));
-    EXPECT_TRUE(set.contains(ones));
-    EXPECT_EQ(set.size(), 2u);
-    set.erase(0);
-    EXPECT_FALSE(set.contains(0));
-    EXPECT_TRUE(set.insert(0)); // erased values can come back
-}
-
-TEST(FingerprintSet, EraseTombstonesAndAllowsReinsert)
-{
-    FingerprintSet set(16);
-    for (std::uint64_t fp = 1; fp <= 5; ++fp)
-        ASSERT_TRUE(set.insert(fp * 1000));
-    set.erase(3000);
-    EXPECT_FALSE(set.contains(3000));
-    EXPECT_TRUE(set.contains(2000)); // probes walk past tombstones
-    EXPECT_EQ(set.size(), 4u);
-    EXPECT_TRUE(set.insert(3000));
-    EXPECT_TRUE(set.contains(3000));
-    EXPECT_EQ(set.size(), 5u);
-}
-
-TEST(FingerprintSet, GrowthPreservesEveryEntry)
-{
-    FingerprintSet set(16);
-    constexpr std::uint64_t kN = 5000; // forces many doublings from 16
-    auto fpOf = [](std::uint64_t i) {
-        return i * 0x9E3779B97F4A7C15ull + 1;
-    };
-    for (std::uint64_t i = 1; i <= kN; ++i)
-        ASSERT_TRUE(set.insert(fpOf(i))) << i;
-    EXPECT_EQ(set.size(), kN);
-    EXPECT_GT(set.capacity(), std::size_t{16});
-    for (std::uint64_t i = 1; i <= kN; ++i) {
-        ASSERT_TRUE(set.contains(fpOf(i))) << i;
-        ASSERT_FALSE(set.insert(fpOf(i))) << i; // still a duplicate
-    }
-    EXPECT_EQ(set.size(), kN);
-}
-
-TEST(FingerprintSet, ConcurrentInsertersAgreeOnExactlyOnce)
-{
-    // Every thread inserts the same value set from a different
-    // starting phase, so the same fingerprint is contended
-    // constantly, across several quiesced rehashes. Exactly one
-    // inserter of each value may see `true`.
-    constexpr unsigned kThreads = 4;
-    constexpr std::uint64_t kValues = 4096;
-    FingerprintSet set(16);
-    std::atomic<std::uint64_t> wins{0};
-    std::atomic<bool> go{false};
-    auto fpOf = [](std::uint64_t i) {
-        return (i + 1) * 0x2545F4914F6CDD1Dull;
-    };
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            while (!go.load(std::memory_order_acquire))
-                std::this_thread::yield();
-            std::uint64_t start = t * (kValues / kThreads);
-            std::uint64_t local = 0;
-            for (std::uint64_t i = 0; i < kValues; ++i) {
-                if (set.insert(fpOf((start + i) % kValues)))
-                    ++local;
-            }
-            wins.fetch_add(local, std::memory_order_relaxed);
-        });
-    }
-    go.store(true, std::memory_order_release);
-    for (auto &t : threads)
-        t.join();
-    EXPECT_EQ(wins.load(), kValues);
-    EXPECT_EQ(set.size(), kValues);
-    for (std::uint64_t i = 0; i < kValues; ++i)
-        ASSERT_TRUE(set.contains(fpOf(i))) << i;
 }
 
 } // namespace

@@ -6,11 +6,11 @@
  *   stm_collector --merge DIR [--ranking-out FILE]
  *
  * Emulates a fleet of N machines running the monitored program,
- * shipping wire-format LBR/LCR reports through the sharded collector,
- * and ranking failure predictors incrementally as reports arrive
+ * shipping wire-format LBR/LCR reports through the collector, and
+ * ranking failure predictors incrementally as reports arrive
  * (Section 5.2's deployment story, Figure 8). Prints the diagnosis,
  * the transport accounting, and — with --stats-json — the collector's
- * per-shard and aggregate metrics as JSON.
+ * metrics as JSON.
  *
  * With --durable DIR the transport runs through the epoched durable
  * collector: accepted frames spill to a write-ahead log, the epoch
@@ -48,13 +48,9 @@ struct CliOptions
 {
     std::string bugId;
     std::uint64_t machines = 16;
-    unsigned shards = 4;
     std::uint32_t profiles = 10;
     std::size_t entries = 16;
     bool conf1 = false;
-    bool drop = false;
-    std::size_t capacity = 4096;
-    std::size_t arenaMb = 1;
     std::uint32_t duplicateEvery = 3;
     std::uint32_t corruptEvery = 5;
     std::size_t top = 5;
@@ -81,19 +77,10 @@ usage()
         << "       stm_collector --merge DIR [--ranking-out FILE]\n\n"
         << "options:\n"
         << "  --machines N      simulated fleet size (default 16)\n"
-        << "  --shards N        collector ingest shards (default 4)\n"
         << "  --profiles N      failure/success reports to aggregate "
            "(default 10)\n"
         << "  --entries N       LBR/LCR record depth (default 16)\n"
         << "  --conf1           space-saving LCR configuration\n"
-        << "  --ring-slots N    per-shard submission-ring slots, "
-           "rounded\n"
-           "                    up to a power of two (default 4096)\n"
-        << "  --capacity N      alias for --ring-slots (legacy name)\n"
-        << "  --arena-mb N      per-producer frame arena size in MiB "
-           "(default 1)\n"
-        << "  --drop            shed load when a shard is full "
-           "(default: block)\n"
         << "  --dup-every N     retransmit every N-th frame "
            "(default 3, 0 = off)\n"
         << "  --corrupt-every N corrupt every N-th frame "
@@ -145,9 +132,6 @@ try {
         if (arg == "--machines") {
             if (!numeric(&out->machines))
                 return false;
-        } else if (arg == "--shards") {
-            if (!numeric(&out->shards))
-                return false;
         } else if (arg == "--profiles") {
             if (!numeric(&out->profiles))
                 return false;
@@ -156,14 +140,6 @@ try {
                 return false;
         } else if (arg == "--conf1") {
             out->conf1 = true;
-        } else if (arg == "--capacity" || arg == "--ring-slots") {
-            if (!numeric(&out->capacity))
-                return false;
-        } else if (arg == "--arena-mb") {
-            if (!numeric(&out->arenaMb))
-                return false;
-        } else if (arg == "--drop") {
-            out->drop = true;
         } else if (arg == "--dup-every") {
             if (!numeric(&out->duplicateEvery))
                 return false;
@@ -240,18 +216,13 @@ try {
 }
 
 void
-dumpStatsJson(std::ostream &os, const fleet::Collector &collector,
+dumpStatsJson(std::ostream &os, const StatGroup &collector,
               const fleet::DurableCollector *durable)
 {
-    os << "{\n  \"aggregate\": " << collector.stats().toJson();
+    os << "{\n  \"aggregate\": " << collector.toJson();
     if (durable)
         os << ",\n  \"durable\": " << durable->stats().toJson();
-    os << ",\n  \"shards\": [\n";
-    for (unsigned s = 0; s < collector.shards(); ++s) {
-        os << "    " << collector.shardStats(s).toJson()
-           << (s + 1 < collector.shards() ? "," : "") << '\n';
-    }
-    os << "  ]\n}\n";
+    os << "\n}\n";
 }
 
 /**
@@ -327,10 +298,6 @@ durableMain(const CliOptions &cli, const BugSpec &bug,
     fleet::DurableOptions durable;
     durable.dir = cli.durableDir;
     durable.collectorId = cli.collectorId;
-    durable.collector.shards = opts.shards;
-    durable.collector.shardCapacity = opts.shardCapacity;
-    durable.collector.overflow = opts.overflow;
-    durable.collector.arenaBytes = cli.arenaMb << 20;
     fleet::DurableCollector collector(durable);
 
     const fleet::RecoveryReport &rec = collector.recovery();
@@ -394,7 +361,7 @@ durableMain(const CliOptions &cli, const BugSpec &bug,
     }
     if (!cli.statsJsonPath.empty()) {
         std::ofstream os(cli.statsJsonPath);
-        dumpStatsJson(os, collector.inner(), &collector);
+        dumpStatsJson(os, collector.inner().stats(), &collector);
         std::cout << "(collector metrics written to "
                   << cli.statsJsonPath << ")\n";
     }
@@ -425,10 +392,6 @@ main(int argc, char **argv)
 
     fleet::FleetOptions opts;
     opts.machines = cli.machines;
-    opts.shards = cli.shards;
-    opts.shardCapacity = cli.capacity;
-    opts.overflow = cli.drop ? fleet::OverflowPolicy::Drop
-                             : fleet::OverflowPolicy::Block;
     opts.failureProfiles = cli.profiles;
     opts.successProfiles = cli.profiles;
     opts.log.lbrEntries = cli.entries;
@@ -440,38 +403,31 @@ main(int argc, char **argv)
     opts.duplicateEvery = cli.duplicateEvery;
     opts.corruptEvery = cli.corruptEvery;
 
-    // Records the ingest/drain/rank pipeline; dumps on return.
+    // Records the ingest/rank pipeline; dumps on return.
     tools::TraceCliGuard traceGuard(cli.tracePath);
 
     if (!cli.durableDir.empty())
         return durableMain(cli, bug, opts);
 
-    fleet::CollectorOptions copts;
-    copts.shards = opts.shards;
-    copts.shardCapacity = opts.shardCapacity;
-    copts.overflow = opts.overflow;
-    copts.arenaBytes = cli.arenaMb << 20;
-    fleet::Collector collector(copts);
+    StatGroup collectorStats("fleet.collector");
 
     std::cout << "fleet collection: " << cli.machines
-              << " machines -> " << cli.shards
-              << " shards, target " << cli.profiles << "+"
+              << " machines, target " << cli.profiles << "+"
               << cli.profiles << " reports (" << bug.id << ")\n";
     fleet::FleetResult result =
-        fleet::runFleetDiagnosis(bug, opts, &collector);
+        fleet::runFleetDiagnosis(bug, opts, &collectorStats);
 
     std::cout << "transport: " << result.framesSent << " frames, "
               << result.wireBytes << " payload bytes; "
               << result.duplicates << " duplicates suppressed, "
-              << result.decodeErrors << " corrupt frames rejected, "
-              << result.dropped << " shed\n";
+              << result.decodeErrors << " corrupt frames rejected\n";
 
     if (!result.diagnosed) {
         std::cout << "fleet diagnosis: could not collect enough "
                      "reports\n";
         if (!cli.statsJsonPath.empty()) {
             std::ofstream os(cli.statsJsonPath);
-            dumpStatsJson(os, collector, nullptr);
+            dumpStatsJson(os, collectorStats, nullptr);
         }
         return 1;
     }
@@ -492,7 +448,7 @@ main(int argc, char **argv)
 
     if (!cli.statsJsonPath.empty()) {
         std::ofstream os(cli.statsJsonPath);
-        dumpStatsJson(os, collector, nullptr);
+        dumpStatsJson(os, collectorStats, nullptr);
         std::cout << "(collector metrics written to "
                   << cli.statsJsonPath << ")\n";
     }

@@ -15,7 +15,7 @@
  *
  * --fleet N routes the LBRA/LCRA collection through the fleet
  * pipeline (src/fleet): N simulated machines report wire-format
- * profiles to the sharded collector feeding the streaming ranker.
+ * profiles to the collector feeding the streaming ranker.
  * The ranking is identical to the in-process path; see stm_collector
  * for the transport-focused front end.
  */
@@ -318,7 +318,7 @@ main(int argc, char **argv)
     if ((tool == "lbra" || tool == "lcra") && cli.fleet > 0) {
         // The fleet path: same profile budget, but every profile is
         // reported over the wire by one of N simulated machines and
-        // aggregated by the sharded collector.
+        // aggregated by the collector.
         fleet::FleetOptions opts;
         opts.machines = cli.fleet;
         opts.failureProfiles = cli.profiles;
