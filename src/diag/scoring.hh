@@ -58,8 +58,8 @@ using TallyMap = std::map<EventKey, PredictorTally>;
  * The complete sufficient statistics of one ranker: everything
  * rank() consumes, and therefore everything a checkpoint must carry
  * for a restarted or remote ranker to produce the identical ranking.
- * The Ranker exports and imports this shape (the durable fleet
- * snapshots round-trip through it).
+ * The Ranker exports this shape, and a durable fleet snapshot
+ * derives it from its report store.
  */
 struct SufficientStats
 {
