@@ -14,9 +14,6 @@
 #ifndef STM_BASELINE_CBI_HH
 #define STM_BASELINE_CBI_HH
 
-#include <cstdint>
-#include <vector>
-
 #include "baseline/liblit.hh"
 #include "diag/workload.hh"
 #include "program/program.hh"
@@ -25,45 +22,41 @@ namespace stm
 {
 
 /** CBI experiment configuration (paper defaults). */
-struct CbiOptions
+struct CbiOptions : LiblitOptions
 {
     /** Mean sampling period (the paper's 1/100 rate). */
     double meanPeriod = 100.0;
-    /** Failing runs to aggregate (the paper uses 1000). */
-    std::uint32_t failureRuns = 1000;
-    /** Successful runs to aggregate (the paper uses 1000). */
-    std::uint32_t successRuns = 1000;
-    /** Budget of total run attempts. */
-    std::uint64_t maxAttempts = 2000000;
-    /**
-     * Worker threads for run execution (0 = STM_JOBS, else hardware
-     * concurrency); results are bit-identical for any value.
-     */
-    unsigned jobs = 0;
 };
 
-/** One scored CBI branch predicate. */
-struct CbiPredicateScore
+/** A CBI predicate: source branch @c branch took @c outcome. */
+struct CbiKey
 {
     SourceBranchId branch = 0;
     bool outcome = false;
-    LiblitTally tally;
-    LiblitScore score;
+
+    auto operator<=>(const CbiKey &) const = default;
 };
 
-/** Result of one CBI campaign. */
-struct CbiResult
-{
-    bool completed = false;
-    std::vector<CbiPredicateScore> ranking; //!< importance-descending
-    std::uint64_t failureRunsUsed = 0;
-    std::uint64_t successRunsUsed = 0;
-    std::uint64_t failureAttempts = 0;
+/** One scored CBI branch predicate. */
+using CbiPredicateScore = LiblitRanked<CbiKey>;
 
+/** Result of one CBI campaign. */
+struct CbiResult : LiblitResult<CbiKey>
+{
     /** 1-based rank of predicate (branch, outcome); 0 if unranked. */
-    std::size_t positionOf(SourceBranchId branch, bool outcome) const;
+    std::size_t
+    positionOf(SourceBranchId branch, bool outcome) const
+    {
+        return positionOfKey({branch, outcome});
+    }
+
     /** 1-based rank of the best predicate on @p branch; 0 if none. */
-    std::size_t positionOfBranch(SourceBranchId branch) const;
+    std::size_t
+    positionOfBranch(SourceBranchId branch) const
+    {
+        return positionWhere(
+            [&](const CbiPredicateScore &r) { return r.branch == branch; });
+    }
 };
 
 /** Run a CBI campaign on @p prog with the given workloads. */

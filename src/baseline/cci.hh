@@ -15,9 +15,6 @@
 #ifndef STM_BASELINE_CCI_HH
 #define STM_BASELINE_CCI_HH
 
-#include <cstdint>
-#include <vector>
-
 #include "baseline/liblit.hh"
 #include "diag/workload.hh"
 #include "program/program.hh"
@@ -26,40 +23,32 @@ namespace stm
 {
 
 /** CCI experiment configuration. */
-struct CciOptions
+struct CciOptions : LiblitOptions
 {
     double meanPeriod = 100.0;
-    std::uint32_t failureRuns = 1000;
-    std::uint32_t successRuns = 1000;
-    std::uint64_t maxAttempts = 2000000;
-    /**
-     * Worker threads for run execution (0 = STM_JOBS, else hardware
-     * concurrency); results are bit-identical for any value.
-     */
-    unsigned jobs = 0;
+};
+
+/** A CCI predicate. */
+struct CciKey
+{
+    Addr pc = 0;         //!< the memory access instruction
+    bool remote = false; //!< interacted with another thread
+
+    auto operator<=>(const CciKey &) const = default;
 };
 
 /** One scored CCI predicate. */
-struct CciPredicateScore
-{
-    Addr pc = 0;        //!< the memory access instruction
-    bool remote = false; //!< interacted with another thread
-    LiblitTally tally;
-    LiblitScore score;
-};
+using CciPredicateScore = LiblitRanked<CciKey>;
 
 /** Result of one CCI campaign. */
-struct CciResult
+struct CciResult : LiblitResult<CciKey>
 {
-    bool completed = false;
-    std::vector<CciPredicateScore> ranking;
-    std::uint64_t failureRunsUsed = 0;
-    std::uint64_t successRunsUsed = 0;
-    std::uint64_t failureAttempts = 0;
-
     /** 1-based rank of (instr_index, remote); 0 if unranked. */
-    std::size_t positionOf(std::uint32_t instr_index,
-                           bool remote) const;
+    std::size_t
+    positionOf(std::uint32_t instr_index, bool remote) const
+    {
+        return positionOfKey({layout::codeAddr(instr_index), remote});
+    }
 };
 
 /** Run a CCI campaign. */

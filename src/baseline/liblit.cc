@@ -2,6 +2,10 @@
 
 #include <cmath>
 
+#include "exec/run_cache.hh"
+#include "exec/run_pool.hh"
+#include "program/fingerprint.hh"
+
 namespace stm
 {
 
@@ -42,6 +46,61 @@ liblitScore(const LiblitTally &tally, std::uint64_t num_failing)
     score.importance =
         2.0 / (1.0 / score.increase + 1.0 / recallish);
     return score;
+}
+
+void
+gatherLiblitRuns(
+    const ProgramPtr &prog, std::shared_ptr<const Instrumentation> plan,
+    const Workload &failing, const Workload &succeeding,
+    const LiblitOptions &opts, LiblitRuns &runs,
+    const std::function<void(const RunResult &, bool failed)> &accept)
+{
+    // The instrumentation rides a copy-on-write overlay: the program
+    // stays untouched and the whole gather is content-addressable in
+    // the run cache.
+    const std::uint64_t progFp = combineFingerprints(
+        fingerprintProgramBase(*prog), fingerprintInstrumentation(*plan));
+
+    // The gathers are embarrassingly parallel: the plan is complete
+    // before fan-out, each run is seeded by its attempt index, and
+    // results are consumed in attempt order, so the set of used runs
+    // (and hence the tallies and attempt counts) is bit-identical to
+    // the serial loop (see exec/run_pool.hh).
+    RunPool pool(opts.jobs);
+
+    // Consume runs seeded from @p seed_base until @p quota of them
+    // have @p failed as their outcome; returns the attempts consumed.
+    auto gather = [&](const Workload &workload, std::uint64_t seed_base,
+                      bool failed, std::uint32_t quota,
+                      std::uint64_t &used) {
+        std::uint64_t attempts = 0;
+        if (quota == 0)
+            return attempts;
+        const std::uint64_t optionsFp =
+            fingerprintMachineOptions(workload.forRun(0));
+        pool.runOrdered(
+            0, opts.maxAttempts,
+            [&](std::uint64_t i) {
+                return memoizedRun(prog, plan, progFp, optionsFp,
+                                   workload.forRun(seed_base + i));
+            },
+            [&](std::uint64_t i, RunResult &&run) {
+                if (used >= quota)
+                    return false;
+                attempts = i + 1;
+                if (workload.isFailure(run) != failed)
+                    return true;
+                accept(run, failed);
+                ++used;
+                return true;
+            });
+        return attempts;
+    };
+    runs.failureAttempts = gather(failing, 0, true, opts.failureRuns,
+                                  runs.failureRunsUsed);
+    gather(succeeding, 5000000, false, opts.successRuns,
+           runs.successRunsUsed);
+    runs.completed = runs.failureRunsUsed != 0 && runs.successRunsUsed != 0;
 }
 
 } // namespace stm

@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the baselines: the Liblit statistical-debugging
- * scores, CBI sampling behavior and end-to-end diagnosis, and the
- * PBI/CCI concurrency baselines.
+ * scores and shared ranking, CBI sampling behavior and end-to-end
+ * diagnosis, and the PBI/CCI concurrency baselines.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "baseline/cbi.hh"
 #include "baseline/cci.hh"
@@ -81,6 +83,50 @@ TEST(Liblit, MoreFailingObservationsRankHigher)
     LiblitScore a = liblitScore(few, 100);
     LiblitScore b = liblitScore(many, 100);
     EXPECT_GT(b.importance, a.importance);
+}
+
+TEST(Liblit, RankingOrdersTiesByKeyAndSharesTheirRank)
+{
+    // Equal tallies score equal Importance; the shared ranking must
+    // order them by key, which for PBI is (pc, store, state), so two
+    // predicates differing only in MESI state have a fixed order.
+    LiblitTally tied;
+    tied.trueInFailing = 8;
+    tied.obsInFailing = 10;
+    tied.obsInSucceeding = 10;
+    LiblitTally strong = tied;
+    strong.trueInFailing = 10;
+    LiblitTally pruned = tied;
+    pruned.trueInSucceeding = 8;
+    const Addr lo = layout::codeAddr(4);
+    const Addr hi = layout::codeAddr(9);
+    std::map<PbiKey, LiblitTally> tallies;
+    tallies[{lo, true, MesiState::Invalid}] = tied;
+    tallies[{lo, false, MesiState::Shared}] = tied;
+    tallies[{lo, false, MesiState::Invalid}] = tied;
+    tallies[{hi, false, MesiState::Modified}] = strong;
+    tallies[{layout::codeAddr(1), false, MesiState::Invalid}] = pruned;
+
+    PbiResult result;
+    result.ranking = liblitRanking(tallies, 10);
+    ASSERT_EQ(result.ranking.size(), 4u);
+    const PbiKey want[] = {{hi, false, MesiState::Modified},
+                           {lo, false, MesiState::Invalid},
+                           {lo, false, MesiState::Shared},
+                           {lo, true, MesiState::Invalid}};
+    for (std::size_t k = 0; k < 4; ++k) {
+        EXPECT_TRUE(static_cast<const PbiKey &>(result.ranking[k]) ==
+                    want[k])
+            << "rank " << k;
+    }
+    EXPECT_GT(result.ranking[0].score.importance,
+              result.ranking[1].score.importance);
+
+    // Competition rank: the three tied entries share position 2.
+    EXPECT_EQ(result.positionOf(9, MesiState::Modified, false), 1u);
+    EXPECT_EQ(result.positionOf(4, MesiState::Shared, false), 2u);
+    EXPECT_EQ(result.positionOf(4, MesiState::Invalid, true), 2u);
+    EXPECT_EQ(result.positionOf(1, MesiState::Invalid, false), 0u);
 }
 
 // ---- CBI ---------------------------------------------------------------------
