@@ -81,18 +81,17 @@ restampFrame(std::uint8_t *frame, std::size_t size,
 
 FrameStatus
 decodeFrameView(const std::uint8_t *data, std::size_t size,
-                RunProfileView *out, bool trusted)
+                RunProfileView *out)
 {
     std::size_t payloadLen = 0;
-    FrameStatus status =
-        verifyFrame(kWireFrame, data, size, &payloadLen, !trusted);
+    FrameStatus status = verifyFrame(kWireFrame, data, size, &payloadLen);
     if (status != FrameStatus::Ok)
         return status;
 
     // Structural walk over the payload. Nothing is copied: scalars
     // are decoded into the view, the record arrays are only
-    // bounds-checked (and, for untrusted bytes, enum-range-checked)
-    // and remembered by position.
+    // bounds-checked and enum-range-checked, and remembered by
+    // position.
     const std::uint8_t *payload = data + kFrameHeaderSize;
     FrameReader r(payload, payloadLen);
     RunProfileView v;
@@ -116,24 +115,20 @@ decodeFrameView(const std::uint8_t *data, std::size_t size,
     v.failure_ = failure != 0;
     v.kind_ = static_cast<ProfileKind>(kind);
 
-    if (!trusted) {
-        const std::uint8_t *rec = v.lbrBytes_;
-        for (std::uint32_t i = 0; i < v.lbrCount_;
-             ++i, rec += kWireLbrRecordSize) {
-            if (rec[16] >
-                    static_cast<std::uint8_t>(BranchKind::FarBranch) ||
-                rec[17] > 1 || rec[22] > 1) {
-                return FrameStatus::Malformed;
-            }
+    const std::uint8_t *rec = v.lbrBytes_;
+    for (std::uint32_t i = 0; i < v.lbrCount_;
+         ++i, rec += kWireLbrRecordSize) {
+        if (rec[16] > static_cast<std::uint8_t>(BranchKind::FarBranch) ||
+            rec[17] > 1 || rec[22] > 1) {
+            return FrameStatus::Malformed;
         }
-        rec = v.lcrBytes_;
-        for (std::uint32_t i = 0; i < v.lcrCount_;
-             ++i, rec += kWireLcrRecordSize) {
-            if (rec[8] >
-                    static_cast<std::uint8_t>(MesiState::Modified) ||
-                rec[9] > 1) {
-                return FrameStatus::Malformed;
-            }
+    }
+    rec = v.lcrBytes_;
+    for (std::uint32_t i = 0; i < v.lcrCount_;
+         ++i, rec += kWireLcrRecordSize) {
+        if (rec[8] > static_cast<std::uint8_t>(MesiState::Modified) ||
+            rec[9] > 1) {
+            return FrameStatus::Malformed;
         }
     }
 

@@ -144,8 +144,7 @@ class RunProfileView
 
   private:
     friend FrameStatus decodeFrameView(const std::uint8_t *,
-                                       std::size_t, RunProfileView *,
-                                       bool);
+                                       std::size_t, RunProfileView *);
 
     const std::uint8_t *payload_ = nullptr;
     std::size_t payloadLen_ = 0;
@@ -210,25 +209,9 @@ deserialize(const std::vector<std::uint8_t> &wire, RunProfile *out)
  * Decode one frame into a non-owning view. Exactly the hostile-byte
  * discipline of deserialize() — identical FrameStatus for any input —
  * but no allocation and no byte copy; @p out aliases @p data.
- *
- * @p trusted skips the CRC pass and the per-record enum range walk
- * for bytes that already passed validation; structural bounds and
- * the reserved header flags are still enforced. Hostile input must
- * always use the default.
  */
 FrameStatus decodeFrameView(const std::uint8_t *data, std::size_t size,
-                            RunProfileView *out, bool trusted = false);
-
-/**
- * Validate one frame without materializing anything: returns exactly
- * the status deserialize() would.
- */
-inline FrameStatus
-validateFrame(const std::uint8_t *data, std::size_t size)
-{
-    RunProfileView scratch;
-    return decodeFrameView(data, size, &scratch);
-}
+                            RunProfileView *out);
 
 /**
  * Canonical 64-bit fingerprint of @p profile: FNV-1a over the

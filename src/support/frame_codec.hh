@@ -282,14 +282,11 @@ sealFrame(const FrameSpec &spec, std::uint8_t *frame,
  * over spec.maxPayload), Truncated (fewer bytes than the length
  * claims), Malformed (trailing bytes), BadCrc, Malformed (nonzero
  * reserved flags; after the CRC, so a flipped flags byte stays
- * BadCrc). @p check_crc false skips the CRC pass, for bytes already
- * verified; the flags check still applies. On Ok, @p payload_len
- * receives the payload length.
+ * BadCrc). On Ok, @p payload_len receives the payload length.
  */
 inline FrameStatus
 verifyFrame(const FrameSpec &spec, const std::uint8_t *data,
-            std::size_t size, std::size_t *payload_len,
-            bool check_crc = true)
+            std::size_t size, std::size_t *payload_len)
 {
     if (size < kFrameHeaderSize)
         return FrameStatus::Truncated;
@@ -304,8 +301,7 @@ verifyFrame(const FrameSpec &spec, const std::uint8_t *data,
         return FrameStatus::Truncated;
     if (len < size - kFrameHeaderSize)
         return FrameStatus::Malformed;
-    if (check_crc &&
-        frameCrc(data, len) != le::get<std::uint32_t>(data + 12))
+    if (frameCrc(data, len) != le::get<std::uint32_t>(data + 12))
         return FrameStatus::BadCrc;
     if (le::get<std::uint16_t>(data + 6) != 0)
         return FrameStatus::Malformed;

@@ -39,11 +39,10 @@ sealed(const std::vector<std::uint8_t> &payload)
 }
 
 FrameStatus
-verify(const std::vector<std::uint8_t> &frame, bool check_crc = true)
+verify(const std::vector<std::uint8_t> &frame)
 {
     std::size_t len = 0;
-    return verifyFrame(kTestFrame, frame.data(), frame.size(), &len,
-                       check_crc);
+    return verifyFrame(kTestFrame, frame.data(), frame.size(), &len);
 }
 
 // ---- codec pieces -------------------------------------------------------
@@ -165,20 +164,14 @@ TEST(FrameCodec, VerifyChecksInTheDocumentedOrder)
     f = good;
     f.back() ^= 1;
     EXPECT_EQ(verify(f), FrameStatus::BadCrc);
-    // Skipping the CRC pass accepts it; the structure checks stay.
-    EXPECT_EQ(verify(f, false), FrameStatus::Ok);
-    f.push_back(0);
-    EXPECT_EQ(verify(f, false), FrameStatus::Malformed);
 
     // Reserved flags come last: a flipped flags byte is BadCrc, a
-    // resealed nonzero one Malformed, on the trusted path too.
+    // resealed nonzero one Malformed.
     f = good;
     f[6] ^= 1;
     EXPECT_EQ(verify(f), FrameStatus::BadCrc);
-    EXPECT_EQ(verify(f, false), FrameStatus::Malformed);
     f = test::withFlags(good, 0x8000);
     EXPECT_EQ(verify(f), FrameStatus::Malformed);
-    EXPECT_EQ(verify(f, false), FrameStatus::Malformed);
 }
 
 TEST(FrameCodec, StatusNamesAreStable)
