@@ -74,7 +74,7 @@ buildCampaignPools(const BugSpec &bug, const FleetOptions &opts)
         ingest(reference, r);
     for (const RunProfile &r : pools.successes)
         ingest(reference, r);
-    const std::vector<RankedEvent> &ranking = reference.rank();
+    std::vector<RankedEvent> ranking = reference.rank();
     if (ranking.empty())
         return pools;
     pools.golden = ranking.front().event;
