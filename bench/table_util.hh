@@ -7,9 +7,11 @@
 #ifndef STM_BENCH_TABLE_UTIL_HH
 #define STM_BENCH_TABLE_UTIL_HH
 
+#include <cerrno>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -24,17 +26,31 @@ namespace stm::bench
  * argument (falling back to STM_JOBS, then hardware concurrency).
  * Every table driver calls this first; the run-execution engine
  * guarantees identical measured values for any worker count, so
- * --jobs only changes how long the bench takes.
+ * --jobs only changes how long the bench takes. A missing,
+ * non-numeric or zero N prints usage and exits 2.
  */
 inline void
 applyJobsFlag(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--jobs") {
-            long n = std::strtol(argv[i + 1], nullptr, 10);
-            if (n >= 1)
-                setDefaultJobs(static_cast<unsigned>(n));
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) != "--jobs")
+            continue;
+        const char *value = i + 1 < argc ? argv[i + 1] : "";
+        char *end = nullptr;
+        errno = 0;
+        long n = std::strtol(value, &end, 10);
+        if (end == value || *end != '\0' || errno == ERANGE || n < 1 ||
+            static_cast<unsigned long>(n) >
+                std::numeric_limits<unsigned>::max()) {
+            std::cerr << "invalid numeric option value\n";
+            std::cout << "usage: " << argv[0] << " [--jobs N]\n"
+                      << "  --jobs N  worker threads for run execution, "
+                         "N >= 1\n"
+                      << "            (default: STM_JOBS env, else "
+                         "hardware concurrency)\n";
+            std::exit(2);
         }
+        setDefaultJobs(static_cast<unsigned>(n));
     }
 }
 
