@@ -30,7 +30,7 @@
  * not be mutated while a batch is in flight. All instrumentation
  * transforms must run before fan-out (the Reactive success-site scheme
  * stops the pool at the pinning failure, re-instruments, then fans out
- * again — see diag/auto_diag.cc).
+ * again — see diag/campaign.cc).
  */
 
 #ifndef STM_EXEC_RUN_POOL_HH

@@ -23,9 +23,9 @@
  *
  * Thread rings register themselves in a process-wide registry on
  * first use and outlive their thread (a worker that exits before the
- * harness drains loses nothing). Like Collector::stats(), reading the
- * rings while threads are still recording is the caller's race to
- * avoid: collect after the RunPool batch / fleet intake quiesces.
+ * harness drains loses nothing). Reading the rings while threads are
+ * still recording is the caller's race to avoid: collect after the
+ * RunPool batch quiesces.
  */
 
 #ifndef STM_OBS_TRACE_HH
@@ -75,12 +75,12 @@ enum class TraceId : std::uint16_t {
     ExecTaskFinish,  //!< result i delivered to the consumer; arg = i
     ExecTaskDiscard, //!< speculative result i discarded; arg = i
     // fleet
-    FleetIngest,      //!< one frame ingested; arg = IngestStatus
-    FleetDuplicate,   //!< fingerprint already seen; arg = shard
-    FleetDrop,        //!< shed under OverflowPolicy::Drop; arg = shard
+    FleetIngest,      //!< one frame accepted; arg = fingerprint
+    FleetDuplicate,   //!< fingerprint already seen; arg = fingerprint
+    FleetDrop,        //!< retired: no longer emitted
     FleetDecodeError, //!< frame failed wire validation; arg = status
-    FleetDrain,       //!< one drain pass, begin..end; arg = delivered
-    FleetRescore,     //!< Ranker recompute (any caller); arg = events
+    FleetDrain,       //!< retired: no longer emitted
+    FleetRescore,     //!< one Ranker::rank() call; arg = events
     // diag
     DiagPinSearch,      //!< failure-site pin search, begin..end
     DiagReinstrument,   //!< reactive success-site re-instrumentation
@@ -91,9 +91,10 @@ enum class TraceId : std::uint16_t {
     ExecCacheHit,   //!< memoized result served; arg = seed
     ExecCacheMiss,  //!< executed and inserted; arg = seed
     ExecCacheEvict, //!< LRU entry evicted for space; arg = bytes freed
-    // fleet ring transport (appended: dump ids above must stay stable)
-    FleetSqDoorbell, //!< descriptor published to a shard ring; arg = shard
-    FleetCqDoorbell, //!< drain batch completed frames; arg = completed
+    // fleet ring transport, retired: no longer emitted (appended:
+    // dump ids above must stay stable)
+    FleetSqDoorbell,
+    FleetCqDoorbell,
     // vm predecode cache (appended: dump ids above must stay stable)
     VmDecodeHit,   //!< predecoded program served from cache; arg = pcs
     VmDecodeMiss,  //!< predecode built on miss; arg = pcs
