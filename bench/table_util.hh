@@ -7,27 +7,28 @@
 #ifndef STM_BENCH_TABLE_UTIL_HH
 #define STM_BENCH_TABLE_UTIL_HH
 
-#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
-#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "exec/run_cache.hh"
 #include "exec/run_pool.hh"
+#include "support/logging.hh"
 
 namespace stm::bench
 {
 
 /**
  * Install the worker count for this bench process from a `--jobs N`
- * argument (falling back to STM_JOBS, then hardware concurrency).
- * Every table driver calls this first; the run-execution engine
- * guarantees identical measured values for any worker count, so
- * --jobs only changes how long the bench takes. A missing,
- * non-numeric or zero N prints usage and exits 2.
+ * argument (else hardware concurrency). Every table driver calls this
+ * first; the run-execution engine guarantees identical measured
+ * values for any worker count, so --jobs only changes how long the
+ * bench takes. An N that is missing or outside 1..kMaxJobs prints
+ * usage and exits 2.
  */
 inline void
 applyJobsFlag(int argc, char **argv)
@@ -36,31 +37,25 @@ applyJobsFlag(int argc, char **argv)
         if (std::string(argv[i]) != "--jobs")
             continue;
         const char *value = i + 1 < argc ? argv[i + 1] : "";
-        char *end = nullptr;
-        errno = 0;
-        long n = std::strtol(value, &end, 10);
-        if (end == value || *end != '\0' || errno == ERANGE || n < 1 ||
-            static_cast<unsigned long>(n) >
-                std::numeric_limits<unsigned>::max()) {
+        std::optional<std::uint64_t> n = parseDecimal(value, 1, kMaxJobs);
+        if (!n) {
             std::cerr << "invalid numeric option value\n";
             std::cout << "usage: " << argv[0] << " [--jobs N]\n"
-                      << "  --jobs N  worker threads for run execution, "
-                         "N >= 1\n"
-                      << "            (default: STM_JOBS env, else "
-                         "hardware concurrency)\n";
+                      << "  --jobs N  worker threads for run execution, 1.."
+                      << kMaxJobs << "\n"
+                      << "            (default: hardware concurrency)\n";
             std::exit(2);
         }
-        setDefaultJobs(static_cast<unsigned>(n));
+        setDefaultJobs(static_cast<unsigned>(*n));
     }
 }
 
 /**
  * Install the process-wide run cache from `--run-cache off|on|verify`
- * and `--run-cache-mb N` arguments (falling back to the STM_RUN_CACHE
- * environment variables when neither flag is given). Cached replay is
- * bit-identical to execution, so the flags only change how long a
- * bench with repeated configurations takes — `verify` re-executes
- * every hit and asserts exactly that.
+ * and `--run-cache-mb N` arguments (off unless --run-cache is given).
+ * Cached replay is bit-identical to execution, so the flags only
+ * change how long a bench with repeated configurations takes —
+ * `verify` re-executes every hit and asserts exactly that.
  */
 inline void
 applyRunCacheFlag(int argc, char **argv)

@@ -69,8 +69,8 @@ struct LiblitOptions
     /** Budget of total run attempts. */
     std::uint64_t maxAttempts = 2000000;
     /**
-     * Worker threads for run execution (0 = STM_JOBS, else hardware
-     * concurrency); results are bit-identical for any value.
+     * Worker threads for run execution (0 = defaultJobs()); results
+     * are bit-identical for any value.
      */
     unsigned jobs = 0;
 };

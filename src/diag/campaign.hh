@@ -57,10 +57,10 @@ struct AutoDiagOptions
     /** Budget of runs before giving up. */
     std::uint64_t maxAttempts = 50000;
     /**
-     * Worker threads for run execution (0 = STM_JOBS environment
-     * variable, else hardware concurrency). Any value produces
-     * rankings and attempt counts bit-identical to jobs=1; see
-     * exec/run_pool.hh for the determinism contract.
+     * Worker threads for run execution (0 = defaultJobs(): the
+     * setDefaultJobs override, else hardware concurrency). Any value
+     * produces rankings and attempt counts bit-identical to jobs=1;
+     * see exec/run_pool.hh for the determinism contract.
      */
     unsigned jobs = 0;
     /**

@@ -34,13 +34,16 @@ LcrLogReport::positionOfEvent(std::uint32_t instr_index,
 namespace
 {
 
+/** Attempts to reproduce a failure before LBRLOG/LCRLOG give up. */
+constexpr std::uint64_t kMaxFailureAttempts = 20000;
+
 /** Run the workload until a failing run is seen; returns it. */
 std::optional<std::pair<RunResult, std::uint64_t>>
 firstFailure(const ProgramPtr &prog,
              const std::shared_ptr<const Instrumentation> &plan,
              const Workload &workload, const LogEnhanceOptions &opts)
 {
-    for (std::uint64_t attempt = 0; attempt < opts.maxAttempts;
+    for (std::uint64_t attempt = 0; attempt < kMaxFailureAttempts;
          ++attempt) {
         MachineOptions machineOpts = workload.forRun(attempt);
         machineOpts.lbrEntries = opts.lbrEntries;

@@ -39,8 +39,6 @@ struct LogEnhanceOptions
     std::size_t lcrEntries = 16;
     /** LCR configuration (defaults to Conf2, space-consuming). */
     LcrConfig lcrConfig = lcrConfSpaceConsuming();
-    /** Give up after this many attempts to reproduce a failure. */
-    std::uint64_t maxAttempts = 20000;
 };
 
 /** What LBRLOG hands the developer after a failure. */

@@ -1,7 +1,5 @@
 #include "exec/run_cache.hh"
 
-#include <cstdlib>
-
 #include "exec/snapshot_store.hh"
 #include "obs/trace.hh"
 #include "program/fingerprint.hh"
@@ -135,39 +133,11 @@ RunCache::hitRate() const
 namespace
 {
 
-struct GlobalCacheState
+std::unique_ptr<RunCache> &
+globalCacheSlot()
 {
-    std::unique_ptr<RunCache> cache;
-    bool initialized = false;
-};
-
-GlobalCacheState &
-globalState()
-{
-    static GlobalCacheState state;
-    return state;
-}
-
-/** One-time lazy init from the environment (no explicit configure). */
-void
-initFromEnvironment(GlobalCacheState &state)
-{
-    state.initialized = true;
-    RunCacheMode mode = RunCacheMode::Off;
-    if (const char *env = std::getenv("STM_RUN_CACHE"))
-        mode = parseRunCacheMode(env);
-    if (std::getenv("STM_RUN_CACHE_VERIFY"))
-        mode = RunCacheMode::Verify;
-    if (mode == RunCacheMode::Off)
-        return;
-    RunCache::Options opts;
-    opts.verify = mode == RunCacheMode::Verify;
-    if (const char *env = std::getenv("STM_RUN_CACHE_MB")) {
-        long mb = std::strtol(env, nullptr, 10);
-        if (mb >= 1)
-            opts.maxBytes = static_cast<std::size_t>(mb) * 1024 * 1024;
-    }
-    state.cache = std::make_unique<RunCache>(opts);
+    static std::unique_ptr<RunCache> cache;
+    return cache;
 }
 
 } // namespace
@@ -187,26 +157,22 @@ parseRunCacheMode(const std::string &text)
 void
 configureRunCache(RunCacheMode mode, std::size_t maxBytes)
 {
-    GlobalCacheState &state = globalState();
-    state.initialized = true;
+    std::unique_ptr<RunCache> &cache = globalCacheSlot();
     if (mode == RunCacheMode::Off) {
-        state.cache.reset();
+        cache.reset();
         return;
     }
     RunCache::Options opts;
     opts.verify = mode == RunCacheMode::Verify;
     if (maxBytes > 0)
         opts.maxBytes = maxBytes;
-    state.cache = std::make_unique<RunCache>(opts);
+    cache = std::make_unique<RunCache>(opts);
 }
 
 RunCache *
 globalRunCache()
 {
-    GlobalCacheState &state = globalState();
-    if (!state.initialized)
-        initFromEnvironment(state);
-    return state.cache.get();
+    return globalCacheSlot().get();
 }
 
 RunResult

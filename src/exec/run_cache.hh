@@ -38,9 +38,8 @@
  * policy.
  *
  * Process-wide wiring: callers go through memoizedRun(), which
- * consults the global cache configured by configureRunCache() /
- * the STM_RUN_CACHE environment variable and transparently executes
- * a Machine on miss or when caching is off.
+ * consults the global cache installed by configureRunCache() and
+ * transparently executes a Machine on miss or when caching is off.
  */
 
 #ifndef STM_EXEC_RUN_CACHE_HH
@@ -155,10 +154,8 @@ void configureRunCache(RunCacheMode mode, std::size_t maxBytes = 0);
 RunCacheMode parseRunCacheMode(const std::string &text);
 
 /**
- * The process-wide cache, or nullptr when caching is off. First use
- * consults the environment: STM_RUN_CACHE=off|on|verify, with
- * STM_RUN_CACHE_VERIFY (any value) forcing verify mode and
- * STM_RUN_CACHE_MB overriding the byte budget.
+ * The cache configureRunCache() installed, or nullptr when caching
+ * is off (the default).
  */
 RunCache *globalRunCache();
 

@@ -1,7 +1,6 @@
 #include "exec/run_pool.hh"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "obs/trace.hh"
 
@@ -49,11 +48,6 @@ defaultJobs()
 {
     if (jobsOverride > 0)
         return jobsOverride;
-    if (const char *env = std::getenv("STM_JOBS")) {
-        long n = std::strtol(env, nullptr, 10);
-        if (n >= 1)
-            return static_cast<unsigned>(n);
-    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;
 }

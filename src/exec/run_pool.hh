@@ -51,9 +51,9 @@ namespace stm
 {
 
 /**
- * Default worker count: the STM_JOBS environment variable if set,
- * else an explicit process-wide override installed by setDefaultJobs,
- * else std::thread::hardware_concurrency(). Always at least 1.
+ * Default worker count: the process-wide override installed by
+ * setDefaultJobs, else std::thread::hardware_concurrency(). Always at
+ * least 1.
  */
 unsigned defaultJobs();
 
@@ -62,6 +62,9 @@ unsigned defaultJobs();
  * tools and benches). 0 clears the override.
  */
 void setDefaultJobs(unsigned jobs);
+
+/** The largest `--jobs N` the tools and benches accept. */
+constexpr unsigned kMaxJobs = 1024;
 
 /** Resolve a jobs option: 0 means defaultJobs(). */
 unsigned resolveJobs(unsigned jobs);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/trace.hh"
 
@@ -207,38 +206,11 @@ defaultCheckpointInterval(std::uint64_t maxSteps, std::uint32_t quantum)
 namespace
 {
 
-struct GlobalStoreState
+std::unique_ptr<SnapshotStore> &
+globalStoreSlot()
 {
-    std::unique_ptr<SnapshotStore> store;
-    bool initialized = false;
-};
-
-GlobalStoreState &
-globalState()
-{
-    static GlobalStoreState state;
-    return state;
-}
-
-/** One-time lazy init from the environment (no explicit configure). */
-void
-initFromEnvironment(GlobalStoreState &state)
-{
-    state.initialized = true;
-    const char *env = std::getenv("STM_CHECKPOINT_EVERY");
-    if (!env)
-        return;
-    SnapshotStore::Options opts;
-    long every = std::strtol(env, nullptr, 10);
-    if (every > 0)
-        opts.everySteps = static_cast<std::uint64_t>(every);
-    if (const char *mb = std::getenv("STM_CHECKPOINT_MB")) {
-        long value = std::strtol(mb, nullptr, 10);
-        if (value >= 1)
-            opts.maxBytes =
-                static_cast<std::size_t>(value) * 1024 * 1024;
-    }
-    state.store = std::make_unique<SnapshotStore>(opts);
+    static std::unique_ptr<SnapshotStore> store;
+    return store;
 }
 
 } // namespace
@@ -247,26 +219,22 @@ void
 configureSnapshotStore(bool enabled, std::uint64_t everySteps,
                        std::size_t maxBytes)
 {
-    GlobalStoreState &state = globalState();
-    state.initialized = true;
+    std::unique_ptr<SnapshotStore> &store = globalStoreSlot();
     if (!enabled) {
-        state.store.reset();
+        store.reset();
         return;
     }
     SnapshotStore::Options opts;
     opts.everySteps = everySteps;
     if (maxBytes > 0)
         opts.maxBytes = maxBytes;
-    state.store = std::make_unique<SnapshotStore>(opts);
+    store = std::make_unique<SnapshotStore>(opts);
 }
 
 SnapshotStore *
 globalSnapshotStore()
 {
-    GlobalStoreState &state = globalState();
-    if (!state.initialized)
-        initFromEnvironment(state);
-    return state.store.get();
+    return globalStoreSlot().get();
 }
 
 } // namespace stm

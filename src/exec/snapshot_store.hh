@@ -30,11 +30,10 @@
  * correctness. Seeks fall back to the next-older checkpoint or to a
  * scratch boot.
  *
- * Process-wide wiring mirrors the run cache: globalSnapshotStore()
- * initializes lazily from STM_CHECKPOINT_EVERY / STM_CHECKPOINT_MB,
- * configureSnapshotStore() installs or tears down explicitly, and the
- * store stays off by default — recording is opt-in so un-instrumented
- * runs pay nothing.
+ * Process-wide wiring mirrors the run cache: configureSnapshotStore()
+ * installs or tears down the store, globalSnapshotStore() returns it,
+ * and the store stays off by default — recording is opt-in so
+ * un-instrumented runs pay nothing.
  */
 
 #ifndef STM_EXEC_SNAPSHOT_STORE_HH
@@ -191,10 +190,8 @@ void configureSnapshotStore(bool enabled, std::uint64_t everySteps = 0,
                             std::size_t maxBytes = 0);
 
 /**
- * The process-wide store, or nullptr when checkpointing is off. First
- * use consults the environment: STM_CHECKPOINT_EVERY=<steps> turns
- * recording on (0 = √T spacing), STM_CHECKPOINT_MB overrides the
- * byte budget.
+ * The store configureSnapshotStore() installed, or nullptr when
+ * checkpointing is off (the default).
  */
 SnapshotStore *globalSnapshotStore();
 

@@ -60,7 +60,7 @@ struct FleetOptions
     bool absencePredicates = false;
     /** Budget of runs before giving up. */
     std::uint64_t maxAttempts = 50000;
-    /** RunPool workers (0 = STM_JOBS / hardware concurrency). */
+    /** RunPool workers (0 = defaultJobs()). */
     unsigned jobs = 0;
     /**
      * Hardware record to collect: unset = LBR for sequential

@@ -67,7 +67,7 @@ constexpr std::uint8_t kTracePhaseCount = 3;
 enum class TraceId : std::uint16_t {
     // vm
     VmRun,     //!< one Machine::run, begin..end; arg = outcome
-    VmQuantum, //!< one scheduler quantum; arg = thread id / steps
+    VmQuantum, //!< retired: no longer emitted
     // exec
     ExecBatch,       //!< one RunPool::runOrdered; arg = max runs
     ExecTaskClaim,   //!< worker claimed attempt i; arg = i

@@ -11,6 +11,8 @@
 #ifndef STM_SUPPORT_LOGGING_HH
 #define STM_SUPPORT_LOGGING_HH
 
+#include <cstdint>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -89,6 +91,16 @@ fatal(std::string_view fmt, const Args &...args)
 {
     throw FatalError("fatal: " + strfmt(fmt, args...));
 }
+
+/**
+ * Parse a numeric command-line value: decimal digits only (no sign,
+ * no whitespace, no trailing text), no overflow, and within
+ * [@p min, @p max]. Returns nullopt for anything else, so a caller
+ * can reject it as a usage error.
+ */
+std::optional<std::uint64_t> parseDecimal(std::string_view text,
+                                          std::uint64_t min,
+                                          std::uint64_t max);
 
 /**
  * Status-message verbosity. Each level prints itself and everything

@@ -1,6 +1,5 @@
 #include "vm/decode_cache.hh"
 
-#include <cstdlib>
 #include <mutex>
 #include <utility>
 
@@ -109,16 +108,8 @@ globalDecodeCache()
 {
     GlobalDecodeState &state = globalState();
     std::lock_guard<std::mutex> lock(state.mu);
-    if (!state.cache) {
-        DecodeCache::Options opts;
-        if (const char *env = std::getenv("STM_DECODE_CACHE_MB")) {
-            long mb = std::strtol(env, nullptr, 10);
-            if (mb >= 1)
-                opts.maxBytes =
-                    static_cast<std::size_t>(mb) * 1024 * 1024;
-        }
-        state.cache = std::make_unique<DecodeCache>(opts);
-    }
+    if (!state.cache)
+        state.cache = std::make_unique<DecodeCache>();
     return *state.cache;
 }
 

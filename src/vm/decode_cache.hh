@@ -111,8 +111,9 @@ class DecodeCache
 
 /**
  * The process-wide decode cache. Always on (predecoding is required
- * to run at all; caching it is strictly a win); first use reads
- * STM_DECODE_CACHE_MB for the byte budget.
+ * to run at all; caching it is strictly a win); first use installs
+ * one with the default DecodeCache::Options unless
+ * configureDecodeCache() already did.
  */
 DecodeCache &globalDecodeCache();
 

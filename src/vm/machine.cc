@@ -634,10 +634,6 @@ Machine::stepLimitHang(Thread &t)
 Machine::StepStatus
 Machine::runQuantum(Thread &t, std::uint32_t &quantum_left)
 {
-    // Quantum boundaries are the VM's coarsest interesting seam: one
-    // span per scheduling quantum, tagged with the running thread.
-    obs::TraceSpan quantumSpan(obs::TraceCategory::Vm,
-                               obs::TraceId::VmQuantum, t.id);
 #if STM_HAVE_THREADED_DISPATCH
     if (useThreaded_) [[likely]]
         return interpretThreaded(t, quantum_left);

@@ -199,8 +199,7 @@ class Machine
      * Interpret @p thread until its quantum expires (returns Continue
      * with @p quantum_left at 0), it blocks/yields/preempts
      * (SwitchThread), or the run ends (RunEnded). Thin wrapper that
-     * opens the VmQuantum trace span and tail-calls the selected
-     * interpreter loop.
+     * tail-calls the selected interpreter loop.
      */
     StepStatus runQuantum(Thread &thread, std::uint32_t &quantum_left);
 

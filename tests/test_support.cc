@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the support library: the ring buffer (the data
- * structure backing LBR/LCR), logging helpers, deterministic PRNG,
- * statistics, the CRC32 and whole-file reads.
+ * structure backing LBR/LCR), logging helpers, the numeric-flag
+ * parser, deterministic PRNG, statistics, the CRC32 and whole-file
+ * reads.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <vector>
 
 #include "support/checksum.hh"
@@ -264,6 +266,38 @@ TEST(Logging, SetLogLevelReturnsPrevious)
     EXPECT_EQ(setLogLevel(LogLevel::Silent), original);
     EXPECT_EQ(setLogLevel(original), LogLevel::Silent);
     EXPECT_EQ(logLevel(), original);
+}
+
+TEST(ParseDecimal, AcceptsDigitsWithinRange)
+{
+    EXPECT_EQ(parseDecimal("8", 1, 1024), std::optional<std::uint64_t>(8));
+    EXPECT_EQ(parseDecimal("1", 1, 1024), std::optional<std::uint64_t>(1));
+    EXPECT_EQ(parseDecimal("1024", 1, 1024),
+              std::optional<std::uint64_t>(1024));
+    EXPECT_EQ(parseDecimal("18446744073709551615", 0, UINT64_MAX),
+              std::optional<std::uint64_t>(UINT64_MAX));
+}
+
+TEST(ParseDecimal, RejectsSignsAndNonDigits)
+{
+    for (const char *text : {"-1", "+1", "", "abc", "12x", " 8", "8 "})
+        EXPECT_EQ(parseDecimal(text, 0, UINT64_MAX), std::nullopt)
+            << "'" << text << "'";
+}
+
+TEST(ParseDecimal, RejectsValuesOutsideTheRange)
+{
+    EXPECT_EQ(parseDecimal("0", 1, 1024), std::nullopt);
+    EXPECT_EQ(parseDecimal("1025", 1, 1024), std::nullopt);
+}
+
+TEST(ParseDecimal, RejectsOverflow)
+{
+    // 2^64 does not fit in 64 bits, whatever the range.
+    EXPECT_EQ(parseDecimal("18446744073709551616", 0, UINT64_MAX),
+              std::nullopt);
+    EXPECT_EQ(parseDecimal("99999999999999999999999", 0, UINT64_MAX),
+              std::nullopt);
 }
 
 // ---- Pcg32 ----------------------------------------------------------------

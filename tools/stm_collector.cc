@@ -25,14 +25,21 @@
  * that is bit-identical to a single-collector run over the union.
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <unistd.h>
 
 #include "corpus/registry.hh"
+#include "exec/run_pool.hh"
 #include "fleet/durable/campaign.hh"
 #include "fleet/durable/durable_collector.hh"
 #include "fleet/fleet_sim.hh"
@@ -86,8 +93,9 @@ usage()
         << "  --corrupt-every N corrupt every N-th frame "
            "(default 5, 0 = off)\n"
         << "  --top N           predictors to print (default 5)\n"
-        << "  --jobs N          worker threads (default: STM_JOBS "
-           "env, else hardware concurrency)\n"
+        << "  --jobs N          worker threads, 1.." << kMaxJobs
+        << " (default: hardware\n"
+           "                    concurrency)\n"
         << "  --stats-json FILE dump collector metrics as JSON\n"
         << "  --trace FILE      record trace events for the run and\n"
            "                    dump them to FILE (.json = Chrome\n"
@@ -114,19 +122,29 @@ usage()
 
 bool
 parse(int argc, char **argv, CliOptions *out)
-try {
+{
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
-        auto numeric = [&](auto *slot) {
+        // Reads the next argument into *slot; a value outside
+        // [min, max] or the slot's type is a usage error.
+        auto numeric = [&](auto *slot, std::uint64_t min = 0,
+                           std::uint64_t max = UINT64_MAX) {
+            using T = std::remove_pointer_t<decltype(slot)>;
             const char *v = next();
             if (!v)
                 return false;
-            *slot = static_cast<
-                std::remove_pointer_t<decltype(slot)>>(
-                std::stoull(v));
+            std::optional<std::uint64_t> n = parseDecimal(
+                v, min,
+                std::min<std::uint64_t>(max,
+                                        std::numeric_limits<T>::max()));
+            if (!n) {
+                std::cerr << "invalid numeric option value\n";
+                return false;
+            }
+            *slot = static_cast<T>(*n);
             return true;
         };
         if (arg == "--machines") {
@@ -150,7 +168,7 @@ try {
             if (!numeric(&out->top))
                 return false;
         } else if (arg == "--jobs") {
-            if (!numeric(&out->jobs))
+            if (!numeric(&out->jobs, 1, kMaxJobs))
                 return false;
         } else if (arg == "--stats-json") {
             const char *v = next();
@@ -168,7 +186,7 @@ try {
                 return false;
             out->durableDir = v;
         } else if (arg == "--id") {
-            if (!numeric(&out->collectorId))
+            if (!numeric(&out->collectorId, 1))
                 return false;
         } else if (arg == "--epoch-every") {
             if (!numeric(&out->epochEvery))
@@ -183,13 +201,16 @@ try {
             const char *slash = std::strchr(v, '/');
             if (!slash)
                 return false;
-            out->partIndex = std::stoull(std::string(v, slash));
-            out->partCount = std::stoull(std::string(slash + 1));
-            if (out->partCount == 0 ||
-                out->partIndex >= out->partCount) {
+            std::optional<std::uint64_t> index = parseDecimal(
+                std::string_view(v, slash - v), 0, UINT64_MAX);
+            std::optional<std::uint64_t> count =
+                parseDecimal(slash + 1, 1, UINT64_MAX);
+            if (!index || !count || *index >= *count) {
                 std::cerr << "--partition wants I/N with I < N\n";
                 return false;
             }
+            out->partIndex = *index;
+            out->partCount = *count;
         } else if (arg == "--merge") {
             const char *v = next();
             if (!v)
@@ -210,9 +231,6 @@ try {
         }
     }
     return !out->bugId.empty() || !out->mergeDir.empty();
-} catch (const std::exception &) {
-    std::cerr << "invalid numeric option value\n";
-    return false;
 }
 
 void

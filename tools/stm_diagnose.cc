@@ -20,10 +20,14 @@
  * for the transport-focused front end.
  */
 
-#include <cstring>
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "baseline/cbi.hh"
 #include "corpus/registry.hh"
@@ -53,7 +57,7 @@ struct CliOptions
     bool proactive = false;
     std::size_t top = 5;
     bool list = false;
-    unsigned jobs = 0; //!< 0 = STM_JOBS, else hardware concurrency
+    unsigned jobs = 0; //!< 0 = hardware concurrency
     std::uint64_t fleet = 0; //!< 0 = in-process; N = fleet machines
     std::string tracePath;   //!< dump trace events here when set
     bool runCacheSet = false;       //!< --run-cache given
@@ -96,8 +100,8 @@ usage()
            "LBRA/LCRA (default 10)\n"
         << "  --proactive       proactive success-site scheme\n"
         << "  --top N           predictors to print (default 5)\n"
-        << "  --jobs N          worker threads for run execution\n"
-           "                    (default: STM_JOBS env, else hardware "
+        << "  --jobs N          worker threads for run execution,\n"
+           "                    1.." << kMaxJobs << " (default: hardware "
            "concurrency;\n"
            "                    results are identical for any N)\n"
         << "  --fleet N         collect LBRA/LCRA profiles from a\n"
@@ -113,32 +117,48 @@ usage()
            "                    dispatch loop (default auto =\n"
            "                    threaded where compiled in)\n"
         << "  --run-cache MODE  off|on|verify: memoize identical runs\n"
-           "                    (default: STM_RUN_CACHE env, else "
-           "off;\n"
-           "                    verify re-executes every hit and\n"
-           "                    asserts bit-identical results)\n"
-        << "  --run-cache-mb N  run-cache byte budget in MiB\n"
-           "                    (default: STM_RUN_CACHE_MB, else "
-           "256)\n"
+           "                    (default off; verify re-executes every\n"
+           "                    hit and asserts bit-identical results)\n"
+        << "  --run-cache-mb N  run-cache byte budget in MiB "
+           "(default 256)\n"
         << "  --checkpoint-every N\n"
            "                    record CoW machine checkpoints every\n"
            "                    N steps into the snapshot store so\n"
            "                    replays seek in O(sqrt T) instead of\n"
            "                    re-executing from step 0 (N=0 picks\n"
-           "                    sqrt-T spacing; default: the\n"
-           "                    STM_CHECKPOINT_EVERY env, else off)\n"
-        << "  --checkpoint-mb N snapshot-store byte budget in MiB\n"
-           "                    (default: STM_CHECKPOINT_MB, else "
-           "256)\n";
+           "                    sqrt-T spacing; default off)\n"
+        << "  --checkpoint-mb N snapshot-store byte budget in MiB "
+           "(default 256)\n";
 }
 
 bool
 parse(int argc, char **argv, CliOptions *out)
 try {
+    constexpr std::uint64_t kMaxMiB =
+        std::numeric_limits<std::size_t>::max() >> 20;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
+        };
+        // Reads the next argument into *slot; a value outside
+        // [min, max] or the slot's type is a usage error.
+        auto numeric = [&](auto *slot, std::uint64_t min = 0,
+                           std::uint64_t max = UINT64_MAX) {
+            using T = std::remove_pointer_t<decltype(slot)>;
+            const char *v = next();
+            if (!v)
+                return false;
+            std::optional<std::uint64_t> n = parseDecimal(
+                v, min,
+                std::min<std::uint64_t>(max,
+                                        std::numeric_limits<T>::max()));
+            if (!n) {
+                std::cerr << "invalid numeric option value\n";
+                return false;
+            }
+            *slot = static_cast<T>(*n);
+            return true;
         };
         if (arg == "--list") {
             out->list = true;
@@ -150,34 +170,24 @@ try {
         } else if (arg == "--no-toggling") {
             out->toggling = false;
         } else if (arg == "--entries") {
-            const char *v = next();
-            if (!v)
+            if (!numeric(&out->entries))
                 return false;
-            out->entries = std::stoul(v);
         } else if (arg == "--conf1") {
             out->conf1 = true;
         } else if (arg == "--profiles") {
-            const char *v = next();
-            if (!v)
+            if (!numeric(&out->profiles))
                 return false;
-            out->profiles = static_cast<std::uint32_t>(std::stoul(v));
         } else if (arg == "--proactive") {
             out->proactive = true;
         } else if (arg == "--top") {
-            const char *v = next();
-            if (!v)
+            if (!numeric(&out->top))
                 return false;
-            out->top = std::stoul(v);
         } else if (arg == "--jobs") {
-            const char *v = next();
-            if (!v)
+            if (!numeric(&out->jobs, 1, kMaxJobs))
                 return false;
-            out->jobs = static_cast<unsigned>(std::stoul(v));
         } else if (arg == "--fleet") {
-            const char *v = next();
-            if (!v)
+            if (!numeric(&out->fleet))
                 return false;
-            out->fleet = std::stoull(v);
         } else if (arg == "--trace") {
             const char *v = next();
             if (!v)
@@ -190,28 +200,22 @@ try {
             out->runCache = parseRunCacheMode(v);
             out->runCacheSet = true;
         } else if (arg == "--run-cache-mb") {
-            const char *v = next();
-            if (!v)
+            if (!numeric(&out->runCacheBytes, 0, kMaxMiB))
                 return false;
-            out->runCacheBytes = std::stoul(v) * std::size_t{1024} *
-                                 std::size_t{1024};
+            out->runCacheBytes <<= 20;
         } else if (arg == "--dispatch") {
             const char *v = next();
             if (!v)
                 return false;
             out->dispatch = parseDispatch(v);
         } else if (arg == "--checkpoint-every") {
-            const char *v = next();
-            if (!v)
+            if (!numeric(&out->checkpointEvery))
                 return false;
-            out->checkpointEvery = std::stoull(v);
             out->checkpointSet = true;
         } else if (arg == "--checkpoint-mb") {
-            const char *v = next();
-            if (!v)
+            if (!numeric(&out->checkpointBytes, 0, kMaxMiB))
                 return false;
-            out->checkpointBytes = std::stoul(v) * std::size_t{1024} *
-                                   std::size_t{1024};
+            out->checkpointBytes <<= 20;
             out->checkpointSet = true;
         } else if (arg == "--help" || arg == "-h") {
             return false;
@@ -223,10 +227,9 @@ try {
         }
     }
     return out->list || !out->bugId.empty();
-} catch (const std::exception &) {
-    // Non-numeric value for a numeric option (--entries, --profiles,
-    // --top, --jobs).
-    std::cerr << "invalid numeric option value\n";
+} catch (const FatalError &e) {
+    // An unknown --run-cache or --dispatch mode.
+    std::cerr << e.what() << '\n';
     return false;
 }
 

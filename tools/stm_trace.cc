@@ -18,9 +18,14 @@
  * of the diagnosis run itself. See src/obs/trace.hh.
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "corpus/registry.hh"
 #include "diag/auto_diag.hh"
@@ -67,8 +72,9 @@ usage()
            "N-machine fleet\n"
         << "  --capacity N      per-thread trace ring capacity "
            "(events)\n"
-        << "  --jobs N          worker threads (default: STM_JOBS "
-           "env)\n"
+        << "  --jobs N          worker threads, 1.." << kMaxJobs
+        << " (default: hardware\n"
+           "                    concurrency)\n"
         << "  --out FILE        dump destination; .json selects the\n"
         << "                    Chrome trace_event format, anything\n"
         << "                    else the binary STMT format\n";
@@ -76,7 +82,7 @@ usage()
 
 bool
 parse(int argc, char **argv, CliOptions *out)
-try {
+{
     if (argc < 2)
         return false;
     out->command = argv[1];
@@ -85,13 +91,23 @@ try {
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
-        auto numeric = [&](auto *slot) {
+        // Reads the next argument into *slot; a value outside
+        // [min, max] or the slot's type is a usage error.
+        auto numeric = [&](auto *slot, std::uint64_t min = 0,
+                           std::uint64_t max = UINT64_MAX) {
+            using T = std::remove_pointer_t<decltype(slot)>;
             const char *v = next();
             if (!v)
                 return false;
-            *slot = static_cast<
-                std::remove_pointer_t<decltype(slot)>>(
-                std::stoull(v));
+            std::optional<std::uint64_t> n = parseDecimal(
+                v, min,
+                std::min<std::uint64_t>(max,
+                                        std::numeric_limits<T>::max()));
+            if (!n) {
+                std::cerr << "invalid numeric option value\n";
+                return false;
+            }
+            *slot = static_cast<T>(*n);
             return true;
         };
         if (arg == "--tool") {
@@ -112,7 +128,7 @@ try {
             if (!numeric(&out->limit))
                 return false;
         } else if (arg == "--jobs") {
-            if (!numeric(&out->jobs))
+            if (!numeric(&out->jobs, 1, kMaxJobs))
                 return false;
         } else if (arg == "--out") {
             const char *v = next();
@@ -137,9 +153,6 @@ try {
         return !out->bugId.empty() && !out->outPath.empty();
     if (out->command == "dump" || out->command == "stats")
         return !out->inPath.empty();
-    return false;
-} catch (const std::exception &) {
-    std::cerr << "invalid numeric option value\n";
     return false;
 }
 
