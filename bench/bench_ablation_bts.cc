@@ -22,7 +22,7 @@ using namespace stm::bench;
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "LBR vs BTS (Section 2.1): capture depth and "
                  "production overhead\n\n"
               << cell("App", 11) << cell("LBR pos", 9)

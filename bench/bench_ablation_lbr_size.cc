@@ -20,7 +20,7 @@ using namespace stm::bench;
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "LBR-depth ablation: sequential failures whose "
                  "root-cause/related branch is captured by LBRLOG\n\n"
               << cell("depth", 8) << cell("captured", 10)

@@ -22,7 +22,7 @@ using namespace stm::bench;
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "LCR-depth ablation (Conf2) over the 7 diagnosable "
                  "concurrency failures\n\n"
               << cell("K", 6) << cell("FPE in LCRLOG", 15)

@@ -23,7 +23,7 @@ using namespace stm::bench;
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "LCRA vs eviction noise: shrinking the L1 floods "
                  "the LCR with eviction-invalid events\n\n"
               << cell("L1 size", 10) << cell("bug", 14)

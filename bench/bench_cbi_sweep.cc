@@ -41,7 +41,7 @@ scoredRank(const BugSpec &bug, const CbiResult &result)
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "CBI run-budget sweep over the 15 C-program "
                  "failures (Section 7.2)\n\n"
               << cell("App", 11) << cell("@10", 7) << cell("@100", 7)

@@ -32,12 +32,12 @@
  * shrink monotonically with fleet size, or the wave's merge is not
  * bit-identical.
  *
- * Flags: --max-machines N caps the sweep (default 1000000);
+ * Flags: --max-machines N caps the sweep (default 1000000; at least
+ * 1000, the smallest fleet, so the checks never pass on no rows);
  * --jobs N for the one-time pool capture.
  */
 
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -159,21 +159,21 @@ writeJson(const std::string &path,
 int
 main(int argc, char **argv)
 {
-    applyJobsFlag(argc, argv);
-    bool check = true;
+    bool noCheck = false;
+    bool checkFloor = false;
     std::uint64_t maxMachines = 1000000;
     std::string outPath = "BENCH_fleet_campaign.json";
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--no-check"))
-            check = false;
-        else if (!std::strcmp(argv[i], "--check-floor"))
-            check = true;
-        else if (i + 1 < argc && !std::strcmp(argv[i], "--out"))
-            outPath = argv[++i];
-        else if (i + 1 < argc &&
-                 !std::strcmp(argv[i], "--max-machines"))
-            maxMachines = std::strtoull(argv[++i], nullptr, 10);
-    }
+    parseFlags(argc, argv,
+               {switchFlag("--no-check", &noCheck, "skip the checks"),
+                switchFlag("--check-floor", &checkFloor,
+                           "run the checks (the default)"),
+                textFlag("--out", &outPath, "FILE",
+                         "JSON report (default BENCH_fleet_campaign.json)"),
+                numberFlag("--max-machines", &maxMachines,
+                           "cap the fleet-size sweep, >= 1000 (the\n"
+                           "smallest fleet; default 1000000)",
+                           1000)});
+    bool check = checkFloor || !noCheck;
 
     std::cout << "Capturing campaign report pools (bug cp)...\n";
     fleet::FleetOptions fleetOpts;

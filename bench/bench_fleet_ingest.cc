@@ -28,7 +28,6 @@
  */
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -193,22 +192,24 @@ main(int argc, char **argv)
 {
     std::uint64_t reports = 40000;
     std::uint64_t repeats = 3;
-    bool check = true;
+    bool noCheck = false;
+    bool checkFloor = false;
     std::string outPath = "BENCH_fleet_ingest.json";
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--no-check"))
-            check = false;
-        else if (!std::strcmp(argv[i], "--check-floor"))
-            check = true;
-        else if (i + 1 < argc && !std::strcmp(argv[i], "--reports"))
-            reports = std::strtoull(argv[++i], nullptr, 10);
-        else if (i + 1 < argc && !std::strcmp(argv[i], "--repeat"))
-            repeats = std::strtoull(argv[++i], nullptr, 10);
-        else if (i + 1 < argc && !std::strcmp(argv[i], "--out"))
-            outPath = argv[++i];
-    }
-    if (repeats == 0)
-        repeats = 1;
+    FlagTable flags(
+        {"[options]"},
+        {switchFlag("--no-check", &noCheck, "skip the floor check"),
+         switchFlag("--check-floor", &checkFloor,
+                    "check the floor (the default)"),
+         numberFlag("--reports", &reports,
+                    "frames per configuration (default 40000)", 1),
+         numberFlag("--repeat", &repeats,
+                    "best-of-N per configuration (default 3)", 1),
+         textFlag("--out", &outPath, "FILE",
+                  "JSON report (default BENCH_fleet_ingest.json)")});
+    std::vector<std::string> positional = flags.parseOrExit(argc, argv);
+    if (!positional.empty())
+        flags.usageError("unexpected argument: " + positional.front());
+    bool check = checkFloor || !noCheck;
 
     constexpr unsigned kDefaultLbrEntries = 8;
     constexpr double kFloorRate = 1000000.0;

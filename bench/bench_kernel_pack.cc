@@ -66,8 +66,7 @@ fmt(double v)
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
-    bench::applyRunCacheFlag(argc, argv);
+    bench::parseFlags(argc, argv);
 
     std::cout << "Kernel-mode pack: ring-aware diagnosis "
                  "(rank / precision / recall under the matching ring "

@@ -115,7 +115,7 @@ writeJson(const ThroughputSample &serial,
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "Diagnosis latency: failing runs needed before the "
                  "root cause ranks first\n\n";
 

@@ -22,13 +22,12 @@
  *
  * Output: human-readable table on stdout plus machine-readable
  * BENCH_run_cache.json (override with --out FILE). For CI perf smoke,
- * --check-floor X exits non-zero when warm_speedup (= cold / warm
- * wall time) drops below X. --verify adds a fourth pass in verify
+ * --check-floor N exits non-zero when warm_speedup (= cold / warm
+ * wall time) drops below N. --verify adds a fourth pass in verify
  * mode, re-executing every hit and asserting bit-identical results.
  */
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -36,6 +35,7 @@
 #include "baseline/cbi.hh"
 #include "corpus/registry.hh"
 #include "diag/auto_diag.hh"
+#include "exec/run_cache.hh"
 #include "table_util.hh"
 
 using namespace stm;
@@ -89,19 +89,21 @@ printPass(const char *label, double sec)
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
     std::string outPath = "BENCH_run_cache.json";
     double floor = 0.0;
     bool verifyPass = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
-            outPath = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--check-floor") &&
-                 i + 1 < argc)
-            floor = std::strtod(argv[i + 1], nullptr);
-        else if (!std::strcmp(argv[i], "--verify"))
-            verifyPass = true;
-    }
+    bench::parseFlags(
+        argc, argv,
+        {textFlag("--out", &outPath, "FILE",
+                  "JSON report (default BENCH_run_cache.json)"),
+         numberFlag("--check-floor",
+                    "exit 1 when the warm speedup is below N", 0,
+                    UINT64_MAX,
+                    [&floor](std::uint64_t n) {
+                        floor = static_cast<double>(n);
+                    }),
+         switchFlag("--verify", &verifyPass,
+                    "add a verify-mode pass")});
 
     std::cout << "Run-cache cold/warm campaign latency\n"
               << "(mix: LBRA cp/sort/tac, LCRA mozilla-js3, "

@@ -21,13 +21,12 @@
  *     checkpoint harvest of the pinning seed's post-pin profile).
  *
  * Output: a table on stdout plus BENCH_snapshot.json (--out FILE).
- * For CI perf smoke, --check-floor X exits non-zero when the seek
- * speedup at the largest T drops below X.
+ * For CI perf smoke, --check-floor N exits non-zero when the seek
+ * speedup at the largest T drops below N.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -179,16 +178,16 @@ runCampaignMix()
 int
 main(int argc, char **argv)
 {
-    applyJobsFlag(argc, argv);
     std::string outPath = "BENCH_snapshot.json";
     double floor = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
-            outPath = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--check-floor") &&
-                 i + 1 < argc)
-            floor = std::strtod(argv[i + 1], nullptr);
-    }
+    parseFlags(argc, argv,
+               {textFlag("--out", &outPath, "FILE",
+                         "JSON report (default BENCH_snapshot.json)"),
+                numberFlag("--check-floor",
+                           "exit 1 when the seek speedup is below N",
+                           0, UINT64_MAX, [&floor](std::uint64_t n) {
+                               floor = static_cast<double>(n);
+                           })});
 
     std::cout << "Checkpointed O(√T) seek vs scratch replay\n\n"
               << "  " << cell("T (steps)", 12) << cell("interval", 10)

@@ -53,7 +53,7 @@ allBranchKindsProgram()
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     struct MaskRow
     {
         const char *name;

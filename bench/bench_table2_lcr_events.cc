@@ -23,7 +23,7 @@ using namespace stm::bench;
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "Table 2 semantics: loads/stores observing each "
                  "pre-access MESI state\n(counted by a performance "
                  "counter and recorded by LCR under the matching "

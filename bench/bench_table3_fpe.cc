@@ -54,7 +54,7 @@ paperExpectation(InterleavingKind kind)
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "Table 3: failure-predicting events (FPE) per "
                  "concurrency-bug class,\nand how often the FPE "
                  "appears in the failure thread's LCR (Conf2, 16 "

@@ -40,8 +40,7 @@ printRows(const std::vector<BugSpec> &bugs)
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
-    bench::applyRunCacheFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "Table 4: features of the real-world failures "
                  "evaluated (and of their reproductions)\n\n"
               << cell("Program", 13) << cell("Version", 9)

@@ -54,7 +54,7 @@ constexpr AppRow kApps[] = {
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout
         << "Table 5: useful-branch ratio per application "
            "(static CFG analysis over every logging site)\n\n"

@@ -74,8 +74,7 @@ lbrPatchDistance(const BugSpec &bug,
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
-    bench::applyRunCacheFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout
         << "Table 6 (diagnosis): LBRLOG / LBRA / CBI on the 20 "
            "sequential-bug failures\n"

@@ -70,7 +70,7 @@ observeFailure(const BugSpec &bug, const Instrumentation &plan,
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "Table 6 (overhead %): steady-state instrumentation "
                  "overhead on production workloads (measured | "
                  "paper)\n\n"

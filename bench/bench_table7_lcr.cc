@@ -33,8 +33,7 @@ using namespace stm::bench;
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
-    bench::applyRunCacheFlag(argc, argv);
+    bench::parseFlags(argc, argv);
     std::cout << "Table 7: LCRLOG / LCRA on the 11 concurrency-bug "
                  "failures (measured | paper)\n\n"
               << cell("ID", 13) << cell("LCRLOG Conf1", 15)

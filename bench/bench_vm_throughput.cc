@@ -43,7 +43,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -365,7 +365,6 @@ runPairHistogram(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    bench::applyJobsFlag(argc, argv);
     std::uint64_t runs = 300;
     std::uint64_t repeats = 3;
     std::string outPath = "BENCH_vm_throughput.json";
@@ -373,39 +372,31 @@ main(int argc, char **argv)
     std::string floorPath;
     std::string dispatchArg = "threaded";
     std::string histogramPath;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--runs"))
-            runs = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--repeat"))
-            repeats = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--out"))
-            outPath = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--baseline"))
-            baselinePath = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--check-floor"))
-            floorPath = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--dispatch"))
-            dispatchArg = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--pair-histogram"))
-            histogramPath = argv[i + 1];
-    }
+    bench::parseFlags(
+        argc, argv,
+        {numberFlag("--runs", &runs,
+                    "runs per workload (default 300)", 1),
+         numberFlag("--repeat", &repeats,
+                    "best-of-N per workload (default 3)", 1),
+         textFlag("--out", &outPath, "FILE",
+                  "JSON report (default BENCH_vm_throughput.json)"),
+         textFlag("--baseline", &baselinePath, "FILE",
+                  "earlier JSON report to compare against"),
+         textFlag("--check-floor", &floorPath, "FILE",
+                  "exit 1 on a regression below this floor"),
+         choiceFlag("--dispatch", &dispatchArg,
+                    {"threaded", "switch", "ab"},
+                    "interpreter loop (default threaded)"),
+         textFlag("--pair-histogram", &histogramPath, "FILE",
+                  "write the opcode-pair histogram instead")});
 
     if (!histogramPath.empty())
         return runPairHistogram(histogramPath);
 
     const bool abMode = dispatchArg == "ab";
-    DispatchMode primary = DispatchMode::Threaded;
-    if (dispatchArg == "switch")
-        primary = DispatchMode::Switch;
-    else if (dispatchArg != "threaded" && !abMode) {
-        std::cerr << "error: --dispatch must be threaded, switch, or "
-                     "ab (got '"
-                  << dispatchArg << "')\n";
-        return 2;
-    }
-
-    if (repeats == 0)
-        repeats = 1;
+    DispatchMode primary = dispatchArg == "switch"
+                               ? DispatchMode::Switch
+                               : DispatchMode::Threaded;
     std::cout << "Single-run interpreter throughput (mixed corpus, "
               << runs << " runs per workload, best of " << repeats
               << ", dispatch " << dispatchArg;

@@ -1,80 +1,38 @@
 /**
  * @file
- * Small helpers shared by the table-reproduction benches: fixed-width
- * cells and the paper's "-" / "inf" / "N/A" renderings.
+ * Small helpers shared by the benches: the command-line flags,
+ * fixed-width cells and the paper's "-" / "inf" / "N/A" renderings.
  */
 
 #ifndef STM_BENCH_TABLE_UTIL_HH
 #define STM_BENCH_TABLE_UTIL_HH
 
-#include <cstdint>
-#include <cstdlib>
 #include <iomanip>
-#include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "exec/run_cache.hh"
 #include "exec/run_pool.hh"
-#include "support/logging.hh"
+#include "support/flags.hh"
 
 namespace stm::bench
 {
 
 /**
- * Install the worker count for this bench process from a `--jobs N`
- * argument (else hardware concurrency). Every table driver calls this
- * first; the run-execution engine guarantees identical measured
- * values for any worker count, so --jobs only changes how long the
- * bench takes. An N that is missing or outside 1..kMaxJobs prints
- * usage and exits 2.
+ * Parse a bench's command line: `--jobs N` (jobsFlag) and @p flags.
+ * The run-execution engine guarantees identical measured values for
+ * any worker count, so --jobs only changes how long the bench takes.
+ * A bench takes no positional argument; a malformed command line
+ * prints usage and exits 2.
  */
 inline void
-applyJobsFlag(int argc, char **argv)
+parseFlags(int argc, char **argv, std::vector<Flag> flags = {})
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) != "--jobs")
-            continue;
-        const char *value = i + 1 < argc ? argv[i + 1] : "";
-        std::optional<std::uint64_t> n = parseDecimal(value, 1, kMaxJobs);
-        if (!n) {
-            std::cerr << "invalid numeric option value\n";
-            std::cout << "usage: " << argv[0] << " [--jobs N]\n"
-                      << "  --jobs N  worker threads for run execution, 1.."
-                      << kMaxJobs << "\n"
-                      << "            (default: hardware concurrency)\n";
-            std::exit(2);
-        }
-        setDefaultJobs(static_cast<unsigned>(*n));
-    }
-}
-
-/**
- * Install the process-wide run cache from `--run-cache off|on|verify`
- * and `--run-cache-mb N` arguments (off unless --run-cache is given).
- * Cached replay is bit-identical to execution, so the flags only
- * change how long a bench with repeated configurations takes —
- * `verify` re-executes every hit and asserts exactly that.
- */
-inline void
-applyRunCacheFlag(int argc, char **argv)
-{
-    bool configure = false;
-    RunCacheMode mode = RunCacheMode::Off;
-    std::size_t maxBytes = 0;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--run-cache") {
-            mode = parseRunCacheMode(argv[i + 1]);
-            configure = true;
-        } else if (std::string(argv[i]) == "--run-cache-mb") {
-            long mb = std::strtol(argv[i + 1], nullptr, 10);
-            if (mb >= 1)
-                maxBytes = static_cast<std::size_t>(mb) * 1024 * 1024;
-        }
-    }
-    if (configure)
-        configureRunCache(mode, maxBytes);
+    flags.insert(flags.begin(), jobsFlag());
+    FlagTable table({"[options]"}, std::move(flags));
+    std::vector<std::string> positional = table.parseOrExit(argc, argv);
+    if (!positional.empty())
+        table.usageError("unexpected argument: " + positional.front());
 }
 
 /** Fixed-width left-aligned cell. */

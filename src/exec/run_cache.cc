@@ -142,18 +142,6 @@ globalCacheSlot()
 
 } // namespace
 
-RunCacheMode
-parseRunCacheMode(const std::string &text)
-{
-    if (text == "off")
-        return RunCacheMode::Off;
-    if (text == "on")
-        return RunCacheMode::On;
-    if (text == "verify")
-        return RunCacheMode::Verify;
-    fatal("unknown run-cache mode '{}' (want off|on|verify)", text);
-}
-
 void
 configureRunCache(RunCacheMode mode, std::size_t maxBytes)
 {

@@ -150,9 +150,6 @@ enum class RunCacheMode : std::uint8_t {
  */
 void configureRunCache(RunCacheMode mode, std::size_t maxBytes = 0);
 
-/** Parse "off"/"on"/"verify" (fatal on anything else). */
-RunCacheMode parseRunCacheMode(const std::string &text);
-
 /**
  * The cache configureRunCache() installed, or nullptr when caching
  * is off (the default).

@@ -58,6 +58,18 @@ setDefaultJobs(unsigned jobs)
     jobsOverride = jobs;
 }
 
+Flag
+jobsFlag()
+{
+    return numberFlag("--jobs",
+                      "worker threads for run execution, 1.." +
+                          std::to_string(kMaxJobs) +
+                          "\n(default: hardware concurrency)",
+                      1, kMaxJobs, [](std::uint64_t n) {
+                          setDefaultJobs(static_cast<unsigned>(n));
+                      });
+}
+
 unsigned
 resolveJobs(unsigned jobs)
 {

@@ -44,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/flags.hh"
 #include "support/stats.hh"
 #include "vm/run_result.hh"
 
@@ -65,6 +66,12 @@ void setDefaultJobs(unsigned jobs);
 
 /** The largest `--jobs N` the tools and benches accept. */
 constexpr unsigned kMaxJobs = 1024;
+
+/**
+ * The `--jobs N` flag of every tool and bench: N in 1..kMaxJobs,
+ * installed with setDefaultJobs. Results are identical for any N.
+ */
+Flag jobsFlag();
 
 /** Resolve a jobs option: 0 means defaultJobs(). */
 unsigned resolveJobs(unsigned jobs);

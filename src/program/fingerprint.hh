@@ -26,7 +26,7 @@
  * All digests are 64-bit FNV-1a over a fixed-width little-endian
  * serialization, so they are stable across platforms and process
  * runs. Hash collisions are the usual content-address caveat; the
- * cache's verify mode (`--run-cache verify`) re-executes every hit
+ * cache's verify mode (`RunCacheMode::Verify`) re-executes every hit
  * and asserts bit-identity, turning the probabilistic argument into a
  * checked one.
  */

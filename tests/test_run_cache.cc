@@ -139,14 +139,6 @@ TEST(RunCache, ShardsPartitionTheKeySpace)
     EXPECT_EQ(cache.bytes(), 0u);
 }
 
-TEST(RunCache, ParseModeAcceptsTheThreeSpellings)
-{
-    EXPECT_EQ(parseRunCacheMode("off"), RunCacheMode::Off);
-    EXPECT_EQ(parseRunCacheMode("on"), RunCacheMode::On);
-    EXPECT_EQ(parseRunCacheMode("verify"), RunCacheMode::Verify);
-    EXPECT_THROW(parseRunCacheMode("bogus"), FatalError);
-}
-
 TEST(RunCache, MemoizedRunMatchesDirectExecutionWithCacheOff)
 {
     GlobalCacheGuard guard;

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the support library: the ring buffer (the data
  * structure backing LBR/LCR), logging helpers, the numeric-flag
- * parser, deterministic PRNG, statistics, the CRC32 and whole-file
- * reads.
+ * parser, the flag table, deterministic PRNG, statistics, the CRC32
+ * and whole-file reads.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +13,12 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "support/checksum.hh"
 #include "support/file_io.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "support/ring_buffer.hh"
@@ -298,6 +300,174 @@ TEST(ParseDecimal, RejectsOverflow)
               std::nullopt);
     EXPECT_EQ(parseDecimal("99999999999999999999999", 0, UINT64_MAX),
               std::nullopt);
+}
+
+// ---- FlagTable -----------------------------------------------------------
+
+/** A table with one flag of each kind, and the values it sets. */
+struct FlagFixture
+{
+    bool verbose = false;
+    std::uint32_t count = 7;
+    std::string out = "default.json";
+    std::string mode = "auto";
+    FlagTable table{
+        {"<input> [options]"},
+        {switchFlag("--verbose", &verbose, "say more"),
+         numberFlag("--count", &count, "how many", 1, 100),
+         textFlag("--out", &out, "FILE", "where to write"),
+         choiceFlag("--mode", &mode, {"auto", "fast", "slow"},
+                    "how to run")}};
+
+    /** Parse "prog" followed by @p args. */
+    std::optional<std::vector<std::string>>
+    parse(std::vector<const char *> args, std::string *error)
+    {
+        args.insert(args.begin(), "prog");
+        return table.parse(static_cast<int>(args.size()), args.data(),
+                           error);
+    }
+};
+
+TEST(FlagTable, DefaultsStayWithoutFlags)
+{
+    FlagFixture f;
+    std::string error;
+    auto positional = f.parse({}, &error);
+    ASSERT_TRUE(positional);
+    EXPECT_TRUE(positional->empty());
+    EXPECT_FALSE(f.verbose);
+    EXPECT_EQ(f.count, 7u);
+    EXPECT_EQ(f.out, "default.json");
+    EXPECT_EQ(f.mode, "auto");
+}
+
+TEST(FlagTable, SwitchSetsTrue)
+{
+    FlagFixture f;
+    std::string error;
+    ASSERT_TRUE(f.parse({"--verbose"}, &error));
+    EXPECT_TRUE(f.verbose);
+}
+
+TEST(FlagTable, NumberParsesWithinItsRange)
+{
+    FlagFixture f;
+    std::string error;
+    ASSERT_TRUE(f.parse({"--count", "100"}, &error));
+    EXPECT_EQ(f.count, 100u);
+    ASSERT_TRUE(f.parse({"--count", "1"}, &error));
+    EXPECT_EQ(f.count, 1u);
+}
+
+TEST(FlagTable, TextTakesAnyValue)
+{
+    FlagFixture f;
+    std::string error;
+    ASSERT_TRUE(f.parse({"--out", "-"}, &error));
+    EXPECT_EQ(f.out, "-");
+}
+
+TEST(FlagTable, ChoiceTakesOneOfItsChoices)
+{
+    FlagFixture f;
+    std::string error;
+    ASSERT_TRUE(f.parse({"--mode", "slow"}, &error));
+    EXPECT_EQ(f.mode, "slow");
+}
+
+TEST(FlagTable, PositionalArgumentsComeBackInOrder)
+{
+    FlagFixture f;
+    std::string error;
+    auto positional =
+        f.parse({"dump", "--count", "3", "a.stmt", "-", "--verbose"},
+                &error);
+    ASSERT_TRUE(positional);
+    EXPECT_EQ(*positional,
+              (std::vector<std::string>{"dump", "a.stmt", "-"}));
+    EXPECT_EQ(f.count, 3u);
+    EXPECT_TRUE(f.verbose);
+}
+
+TEST(FlagTable, RejectsAnUnknownFlag)
+{
+    FlagFixture f;
+    std::string error;
+    EXPECT_FALSE(f.parse({"--no-such-flag"}, &error));
+    EXPECT_EQ(error, "unknown option: --no-such-flag");
+}
+
+TEST(FlagTable, RejectsAMissingValue)
+{
+    for (const char *flag : {"--count", "--out", "--mode"}) {
+        FlagFixture f;
+        std::string error;
+        EXPECT_FALSE(f.parse({flag}, &error)) << flag;
+        EXPECT_EQ(error, std::string("option ") + flag + " needs a value");
+    }
+}
+
+TEST(FlagTable, RejectsAMalformedNumber)
+{
+    for (const char *text : {"abc", "-1", "", "3x"}) {
+        FlagFixture f;
+        std::string error;
+        EXPECT_FALSE(f.parse({"--count", text}, &error)) << text;
+        EXPECT_EQ(f.count, 7u);
+    }
+}
+
+TEST(FlagTable, RejectsANumberOutsideItsRange)
+{
+    for (const char *text : {"0", "101", "18446744073709551616"}) {
+        FlagFixture f;
+        std::string error;
+        EXPECT_FALSE(f.parse({"--count", text}, &error)) << text;
+        EXPECT_EQ(error, std::string("invalid value '") + text +
+                             "' for --count (want 1..100)");
+    }
+}
+
+TEST(FlagTable, NumberRangeIsCappedAtTheTargetType)
+{
+    std::uint8_t small = 0;
+    FlagTable table({""}, {numberFlag("--n", &small, "tiny")});
+    std::string error;
+    const char *ok[] = {"prog", "--n", "255"};
+    ASSERT_TRUE(table.parse(3, ok, &error));
+    EXPECT_EQ(small, 255u);
+    const char *over[] = {"prog", "--n", "256"};
+    EXPECT_FALSE(table.parse(3, over, &error));
+}
+
+TEST(FlagTable, RejectsAValueOutsideTheChoices)
+{
+    FlagFixture f;
+    std::string error;
+    EXPECT_FALSE(f.parse({"--mode", "bogus"}, &error));
+    EXPECT_EQ(error, "invalid value 'bogus' for --mode (want auto|fast|slow)");
+    EXPECT_EQ(f.mode, "auto");
+}
+
+TEST(FlagTable, HelpFailsWithoutAnError)
+{
+    FlagFixture f;
+    std::string error = "stale";
+    EXPECT_FALSE(f.parse({"--help"}, &error));
+    EXPECT_TRUE(error.empty());
+}
+
+TEST(FlagTable, UsageListsTheSynopsisAndEveryFlag)
+{
+    FlagFixture f;
+    std::string usage = f.table.usage("prog");
+    EXPECT_EQ(usage.rfind("usage: prog <input> [options]\n", 0), 0u)
+        << usage;
+    for (const char *text :
+         {"--verbose", "--count N", "--out FILE",
+          "--mode auto|fast|slow", "how to run"})
+        EXPECT_NE(usage.find(text), std::string::npos) << text;
 }
 
 // ---- Pcg32 ----------------------------------------------------------------

@@ -25,17 +25,13 @@
  * that is bit-identical to a single-collector run over the union.
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <unistd.h>
 
 #include "corpus/registry.hh"
@@ -43,6 +39,7 @@
 #include "fleet/durable/campaign.hh"
 #include "fleet/durable/durable_collector.hh"
 #include "fleet/fleet_sim.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "trace_cli.hh"
 
@@ -61,7 +58,6 @@ struct CliOptions
     std::uint32_t duplicateEvery = 3;
     std::uint32_t corruptEvery = 5;
     std::size_t top = 5;
-    unsigned jobs = 0;
     std::string statsJsonPath;
     std::string tracePath;
 
@@ -69,169 +65,13 @@ struct CliOptions
     std::string durableDir;
     std::uint64_t collectorId = 1;
     std::uint64_t epochEvery = 0; //!< 0 = one epoch for the whole run
+    std::string partition;        //!< "I/N", parsed into the two below
     std::uint64_t partIndex = 0;
     std::uint64_t partCount = 1;
     std::uint64_t crashAfter = 0; //!< _exit after N accepts (0 = off)
     std::string mergeDir;
     std::string rankingOutPath;
 };
-
-void
-usage()
-{
-    std::cout
-        << "usage: stm_collector <bug-id> [options]\n"
-        << "       stm_collector --merge DIR [--ranking-out FILE]\n\n"
-        << "options:\n"
-        << "  --machines N      simulated fleet size (default 16)\n"
-        << "  --profiles N      failure/success reports to aggregate "
-           "(default 10)\n"
-        << "  --entries N       LBR/LCR record depth (default 16)\n"
-        << "  --conf1           space-saving LCR configuration\n"
-        << "  --dup-every N     retransmit every N-th frame "
-           "(default 3, 0 = off)\n"
-        << "  --corrupt-every N corrupt every N-th frame "
-           "(default 5, 0 = off)\n"
-        << "  --top N           predictors to print (default 5)\n"
-        << "  --jobs N          worker threads, 1.." << kMaxJobs
-        << " (default: hardware\n"
-           "                    concurrency)\n"
-        << "  --stats-json FILE dump collector metrics as JSON\n"
-        << "  --trace FILE      record trace events for the run and\n"
-           "                    dump them to FILE (.json = Chrome\n"
-           "                    trace_event, else binary STMT)\n\n"
-        << "durable mode:\n"
-        << "  --durable DIR     epoched collector: WAL spill + "
-           "snapshot\n"
-           "                    compaction in DIR (recovers on "
-           "restart)\n"
-        << "  --id N            this collector's id, >= 1 "
-           "(default 1)\n"
-        << "  --epoch-every N   roll the epoch every N accepted "
-           "reports\n"
-           "                    (default: once, at the end)\n"
-        << "  --partition I/N   handle only machines with id mod N "
-           "== I\n"
-        << "  --crash-after N   simulate a crash (_exit) after N "
-           "accepts\n"
-        << "  --merge DIR       coordinator: merge every snapshot in "
-           "DIR\n"
-        << "  --ranking-out F   write the deterministic ranking to "
-           "F\n";
-}
-
-bool
-parse(int argc, char **argv, CliOptions *out)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        // Reads the next argument into *slot; a value outside
-        // [min, max] or the slot's type is a usage error.
-        auto numeric = [&](auto *slot, std::uint64_t min = 0,
-                           std::uint64_t max = UINT64_MAX) {
-            using T = std::remove_pointer_t<decltype(slot)>;
-            const char *v = next();
-            if (!v)
-                return false;
-            std::optional<std::uint64_t> n = parseDecimal(
-                v, min,
-                std::min<std::uint64_t>(max,
-                                        std::numeric_limits<T>::max()));
-            if (!n) {
-                std::cerr << "invalid numeric option value\n";
-                return false;
-            }
-            *slot = static_cast<T>(*n);
-            return true;
-        };
-        if (arg == "--machines") {
-            if (!numeric(&out->machines))
-                return false;
-        } else if (arg == "--profiles") {
-            if (!numeric(&out->profiles))
-                return false;
-        } else if (arg == "--entries") {
-            if (!numeric(&out->entries))
-                return false;
-        } else if (arg == "--conf1") {
-            out->conf1 = true;
-        } else if (arg == "--dup-every") {
-            if (!numeric(&out->duplicateEvery))
-                return false;
-        } else if (arg == "--corrupt-every") {
-            if (!numeric(&out->corruptEvery))
-                return false;
-        } else if (arg == "--top") {
-            if (!numeric(&out->top))
-                return false;
-        } else if (arg == "--jobs") {
-            if (!numeric(&out->jobs, 1, kMaxJobs))
-                return false;
-        } else if (arg == "--stats-json") {
-            const char *v = next();
-            if (!v)
-                return false;
-            out->statsJsonPath = v;
-        } else if (arg == "--trace") {
-            const char *v = next();
-            if (!v)
-                return false;
-            out->tracePath = v;
-        } else if (arg == "--durable") {
-            const char *v = next();
-            if (!v)
-                return false;
-            out->durableDir = v;
-        } else if (arg == "--id") {
-            if (!numeric(&out->collectorId, 1))
-                return false;
-        } else if (arg == "--epoch-every") {
-            if (!numeric(&out->epochEvery))
-                return false;
-        } else if (arg == "--crash-after") {
-            if (!numeric(&out->crashAfter))
-                return false;
-        } else if (arg == "--partition") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const char *slash = std::strchr(v, '/');
-            if (!slash)
-                return false;
-            std::optional<std::uint64_t> index = parseDecimal(
-                std::string_view(v, slash - v), 0, UINT64_MAX);
-            std::optional<std::uint64_t> count =
-                parseDecimal(slash + 1, 1, UINT64_MAX);
-            if (!index || !count || *index >= *count) {
-                std::cerr << "--partition wants I/N with I < N\n";
-                return false;
-            }
-            out->partIndex = *index;
-            out->partCount = *count;
-        } else if (arg == "--merge") {
-            const char *v = next();
-            if (!v)
-                return false;
-            out->mergeDir = v;
-        } else if (arg == "--ranking-out") {
-            const char *v = next();
-            if (!v)
-                return false;
-            out->rankingOutPath = v;
-        } else if (arg == "--help" || arg == "-h") {
-            return false;
-        } else if (!arg.empty() && arg[0] != '-') {
-            out->bugId = arg;
-        } else {
-            std::cerr << "unknown option: " << arg << '\n';
-            return false;
-        }
-    }
-    return !out->bugId.empty() || !out->mergeDir.empty();
-}
 
 void
 dumpStatsJson(std::ostream &os, const StatGroup &collector,
@@ -392,9 +232,63 @@ int
 main(int argc, char **argv)
 {
     CliOptions cli;
-    if (!parse(argc, argv, &cli)) {
-        usage();
-        return 2;
+    FlagTable flags(
+        {"<bug-id> [options]", "--merge DIR [--ranking-out FILE]"},
+        {numberFlag("--machines", &cli.machines,
+                    "simulated fleet size (default 16)", 1),
+         numberFlag("--profiles", &cli.profiles,
+                    "failure/success reports to aggregate (default 10)"),
+         numberFlag("--entries", &cli.entries,
+                    "LBR/LCR record depth (default 16)"),
+         switchFlag("--conf1", &cli.conf1,
+                    "space-saving LCR configuration"),
+         numberFlag("--dup-every", &cli.duplicateEvery,
+                    "retransmit every N-th frame (default 3, 0 = off)"),
+         numberFlag("--corrupt-every", &cli.corruptEvery,
+                    "corrupt every N-th frame (default 5, 0 = off)"),
+         numberFlag("--top", &cli.top, "predictors to print (default 5)"),
+         jobsFlag(),
+         textFlag("--stats-json", &cli.statsJsonPath, "FILE",
+                  "dump collector metrics as JSON"),
+         textFlag("--trace", &cli.tracePath, "FILE",
+                  "record trace events for the run and dump them\n"
+                  "to FILE (.json = Chrome trace_event, else\n"
+                  "binary STMT)"),
+         textFlag("--durable", &cli.durableDir, "DIR",
+                  "epoched collector: WAL spill + snapshot\n"
+                  "compaction in DIR (recovers on restart)"),
+         numberFlag("--id", &cli.collectorId,
+                    "this collector's id, >= 1 (default 1)", 1),
+         numberFlag("--epoch-every", &cli.epochEvery,
+                    "roll the epoch every N accepted reports\n"
+                    "(default: once, at the end)"),
+         textFlag("--partition", &cli.partition, "I/N",
+                  "handle only machines with id mod N == I"),
+         numberFlag("--crash-after", &cli.crashAfter,
+                    "simulate a crash (_exit) after N accepts"),
+         textFlag("--merge", &cli.mergeDir, "DIR",
+                  "coordinator: merge every snapshot in DIR"),
+         textFlag("--ranking-out", &cli.rankingOutPath, "FILE",
+                  "write the deterministic ranking to FILE")});
+    std::vector<std::string> positional = flags.parseOrExit(argc, argv);
+    if (positional.size() > 1 ||
+        (positional.empty() && cli.mergeDir.empty()))
+        flags.usageError("want one <bug-id> or --merge DIR");
+    if (!positional.empty())
+        cli.bugId = positional.front();
+    if (!cli.partition.empty()) {
+        std::string_view v = cli.partition;
+        std::size_t slash = v.find('/');
+        std::optional<std::uint64_t> index =
+            parseDecimal(v.substr(0, slash), 0, UINT64_MAX);
+        std::optional<std::uint64_t> count =
+            slash == std::string_view::npos
+                ? std::nullopt
+                : parseDecimal(v.substr(slash + 1), 1, UINT64_MAX);
+        if (!index || !count || *index >= *count)
+            flags.usageError("--partition wants I/N with I < N");
+        cli.partIndex = *index;
+        cli.partCount = *count;
     }
 
     if (!cli.mergeDir.empty())
@@ -417,7 +311,6 @@ main(int argc, char **argv)
     opts.log.lcrConfig = cli.conf1 ? lcrConfSpaceSaving()
                                    : lcrConfSpaceConsuming();
     opts.absencePredicates = bug.isConcurrent;
-    opts.jobs = cli.jobs;
     opts.duplicateEvery = cli.duplicateEvery;
     opts.corruptEvery = cli.corruptEvery;
 

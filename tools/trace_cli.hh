@@ -14,6 +14,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,29 @@
 
 namespace stm::tools
 {
+
+/**
+ * Write @p events to @p path: Chrome trace_event JSON for a path
+ * ending in .json, else the binary STMT dump. Returns the format
+ * written, or nullopt (after a message on stderr) when the file
+ * cannot be written.
+ */
+inline std::optional<std::string>
+writeTraceDump(const std::string &path,
+               const std::vector<obs::TraceEvent> &events)
+{
+    if (path.ends_with(".json")) {
+        std::ofstream os(path, std::ios::binary);
+        os << obs::chromeTraceJson(events);
+        if (os)
+            return "chrome trace_event JSON";
+    } else if (obs::writeTraceFile(path, events) == FrameStatus::Ok) {
+        return "binary STMT v" +
+               std::to_string(obs::kTraceFrame.version);
+    }
+    std::cerr << "cannot write trace to " << path << '\n';
+    return std::nullopt;
+}
 
 /** RAII --trace handler: enable on construction, dump on scope exit. */
 class TraceCliGuard
@@ -41,22 +65,9 @@ class TraceCliGuard
             return;
         obs::setTracingEnabled(false);
         std::vector<obs::TraceEvent> events = obs::collectTrace();
-        if (path_.size() >= 5 &&
-            path_.compare(path_.size() - 5, 5, ".json") == 0) {
-            std::ofstream os(path_, std::ios::binary);
-            os << obs::chromeTraceJson(events);
-            if (!os) {
-                std::cerr << "cannot write trace to " << path_
-                          << '\n';
-                return;
-            }
-        } else if (obs::writeTraceFile(path_, events) !=
-                   FrameStatus::Ok) {
-            std::cerr << "cannot write trace to " << path_ << '\n';
-            return;
-        }
-        std::cout << "(trace: " << events.size() << " events -> "
-                  << path_ << ")\n";
+        if (writeTraceDump(path_, events))
+            std::cout << "(trace: " << events.size() << " events -> "
+                      << path_ << ")\n";
     }
 
     TraceCliGuard(const TraceCliGuard &) = delete;
