@@ -25,20 +25,8 @@
  * --jobs is accepted for symmetry with the other benches but the
  * measurement itself is single-run (serial) by design.
  *
- * Dispatch A/B: --dispatch threaded|switch|ab selects the interpreter
- * loop (threaded = computed goto where compiled in, switch = portable
- * fallback). "ab" times every workload under both and adds a switch
- * column plus per-workload speedup; the JSON gains ips_switch fields.
- * Every mode also reports the superinstruction hit rate per workload
- * (share of retired instructions executed inside a fused pair).
- *
- * Profiling: --pair-histogram FILE skips the bench and instead runs
- * the full corpus registry under golden-style configurations with
- * opcode-pair profiling on (switch loop, unfused streams), then
- * writes the aggregate statically-adjacent opcode-pair histogram to
- * FILE. This is the data the superinstruction selection table in
- * vm/decoded_program.cc was chosen from (DESIGN.md §13); CI uploads
- * the artifact so the selection stays auditable.
+ * Every workload also reports its superinstruction hit rate (share
+ * of retired instructions executed inside a fused pair).
  */
 
 #include <chrono>
@@ -80,22 +68,12 @@ struct WorkloadResult
     std::uint64_t steps = 0;
     std::uint64_t fusedPairs = 0;
     double wallSec = 0.0;
-    /** Filled only in --dispatch ab mode. */
-    double wallSecSwitch = 0.0;
 
     double
     ips() const
     {
         return wallSec > 0.0
                    ? static_cast<double>(instructions) / wallSec
-                   : 0.0;
-    }
-
-    double
-    ipsSwitch() const
-    {
-        return wallSecSwitch > 0.0
-                   ? static_cast<double>(instructions) / wallSecSwitch
                    : 0.0;
     }
 
@@ -152,8 +130,7 @@ instrument(const BugSpec &bug, const std::string &kind)
 WorkloadResult
 timeWorkloadOnce(const BugSpec &bug,
                  const std::shared_ptr<const Instrumentation> &plan,
-                 const WorkloadSpec &spec, std::uint64_t runs,
-                 DispatchMode mode)
+                 const WorkloadSpec &spec, std::uint64_t runs)
 {
     const Workload &w = spec.failing ? bug.failing : bug.succeeding;
 
@@ -166,9 +143,7 @@ timeWorkloadOnce(const BugSpec &bug,
     const std::uint64_t fusedBefore = vmStats().value("fused_pairs");
     auto start = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < runs; ++i) {
-        MachineOptions opts = w.forRun(i);
-        opts.dispatch = mode;
-        Machine machine(bug.program, opts, plan);
+        Machine machine(bug.program, w.forRun(i), plan);
         RunResult r = machine.run();
         out.instructions += r.stats.userInstructions +
                             r.stats.kernelInstructions +
@@ -189,15 +164,14 @@ timeWorkloadOnce(const BugSpec &bug,
  */
 WorkloadResult
 timeWorkload(const WorkloadSpec &spec, std::uint64_t runs,
-             std::uint64_t repeats, DispatchMode mode)
+             std::uint64_t repeats)
 {
     BugSpec bug = corpus::bugById(spec.bugId);
     auto plan = instrument(bug, spec.instrument);
 
     WorkloadResult best;
     for (std::uint64_t rep = 0; rep < repeats; ++rep) {
-        WorkloadResult r =
-            timeWorkloadOnce(bug, plan, spec, runs, mode);
+        WorkloadResult r = timeWorkloadOnce(bug, plan, spec, runs);
         if (rep == 0 || r.wallSec < best.wallSec)
             best = r;
     }
@@ -228,8 +202,7 @@ slurp(const std::string &path)
 void
 writeJson(const std::string &path,
           const std::vector<WorkloadResult> &results,
-          const WorkloadResult &aggregate, double baselineIps,
-          bool abMode)
+          const WorkloadResult &aggregate, double baselineIps)
 {
     std::ofstream os(path);
     os << std::fixed;
@@ -246,11 +219,7 @@ writeJson(const std::string &path,
         os.precision(6);
         os << ", \"wall_sec\": " << r.wallSec << ", \"ips\": ";
         os.precision(0);
-        os << r.ips();
-        if (abMode) {
-            os << ", \"ips_switch\": " << r.ipsSwitch();
-        }
-        os << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+        os << r.ips() << "}" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     os.precision(6);
     os << "  ],\n  \"aggregate\": {\"instructions\": "
@@ -267,15 +236,8 @@ writeJson(const std::string &path,
        << (aggregate.wallSec > 0.0
                ? static_cast<double>(aggregate.steps) /
                      aggregate.wallSec
-               : 0.0);
-    if (abMode) {
-        os << ", \"aggregate_ips_switch\": "
-           << (aggregate.wallSecSwitch > 0.0
-                   ? static_cast<double>(aggregate.instructions) /
-                         aggregate.wallSecSwitch
-                   : 0.0);
-    }
-    os << "}";
+               : 0.0)
+       << "}";
     if (baselineIps > 0.0) {
         os << ",\n  \"baseline_ips\": " << baselineIps;
         os.precision(3);
@@ -283,81 +245,6 @@ writeJson(const std::string &path,
            << aggregate.ips() / baselineIps;
     }
     os << "\n}\n";
-}
-
-/**
- * --pair-histogram mode: full corpus registry under the golden-style
- * configurations with opcode-pair profiling on. Writes the aggregate
- * histogram (statically adjacent pairs only, descending) to @p path.
- */
-int
-runPairHistogram(const std::string &path)
-{
-    setOpcodePairProfiling(true);
-    resetOpcodePairHistogram();
-
-    std::vector<BugSpec> bugs = corpus::allBugs();
-    std::vector<BugSpec> micro = corpus::microBugs();
-    bugs.insert(bugs.end(), micro.begin(), micro.end());
-
-    std::uint64_t runsDone = 0;
-    for (const BugSpec &bug : bugs) {
-        // Mirror the golden-determinism configurations: bare fail and
-        // succeed, the log plan (LBR for sequential, LCR for
-        // concurrent), and CBI for sequential entries.
-        std::vector<std::string> kinds = {"", "bare-succ",
-                                          bug.isConcurrent ? "lcrlog"
-                                                           : "lbrlog"};
-        if (!bug.isConcurrent)
-            kinds.push_back("cbi");
-        for (const std::string &kind : kinds) {
-            bool succeeding = kind == "bare-succ";
-            const Workload &w =
-                succeeding ? bug.succeeding : bug.failing;
-            Machine machine(bug.program, w.forRun(0),
-                            instrument(bug, succeeding ? "" : kind));
-            machine.run();
-            ++runsDone;
-        }
-    }
-    setOpcodePairProfiling(false);
-
-    std::vector<OpcodePairCount> rows = opcodePairHistogram(40);
-    std::uint64_t total = 0;
-    for (const auto &row : opcodePairHistogram())
-        total += row.count;
-
-    std::cout << "opcode-pair histogram over " << runsDone
-              << " corpus runs (" << total
-              << " statically adjacent pairs)\n\n"
-              << cell("first", 10) << cell("second", 10)
-              << cell("count", 12) << cell("share", 8) << '\n';
-    std::ofstream os(path);
-    os << "{\n  \"runs\": " << runsDone << ",\n  \"total_pairs\": "
-       << total << ",\n  \"pairs\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const OpcodePairCount &row = rows[i];
-        double share =
-            total > 0 ? static_cast<double>(row.count) /
-                            static_cast<double>(total)
-                      : 0.0;
-        if (i < 15) {
-            std::ostringstream sh;
-            sh << std::fixed << std::setprecision(3) << share;
-            std::cout << cell(opcodeName(row.first), 10)
-                      << cell(opcodeName(row.second), 10)
-                      << cell(std::to_string(row.count), 12)
-                      << cell(sh.str(), 8) << '\n';
-        }
-        os << "    {\"first\": \"" << opcodeName(row.first)
-           << "\", \"second\": \"" << opcodeName(row.second)
-           << "\", \"count\": " << row.count << ", \"share\": "
-           << std::fixed << std::setprecision(4) << share << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    std::cout << "(written to " << path << ")\n";
-    return 0;
 }
 
 } // namespace
@@ -370,8 +257,6 @@ main(int argc, char **argv)
     std::string outPath = "BENCH_vm_throughput.json";
     std::string baselinePath;
     std::string floorPath;
-    std::string dispatchArg = "threaded";
-    std::string histogramPath;
     bench::parseFlags(
         argc, argv,
         {numberFlag("--runs", &runs,
@@ -383,47 +268,21 @@ main(int argc, char **argv)
          textFlag("--baseline", &baselinePath, "FILE",
                   "earlier JSON report to compare against"),
          textFlag("--check-floor", &floorPath, "FILE",
-                  "exit 1 on a regression below this floor"),
-         choiceFlag("--dispatch", &dispatchArg,
-                    {"threaded", "switch", "ab"},
-                    "interpreter loop (default threaded)"),
-         textFlag("--pair-histogram", &histogramPath, "FILE",
-                  "write the opcode-pair histogram instead")});
+                  "exit 1 on a regression below this floor")});
 
-    if (!histogramPath.empty())
-        return runPairHistogram(histogramPath);
-
-    const bool abMode = dispatchArg == "ab";
-    DispatchMode primary = dispatchArg == "switch"
-                               ? DispatchMode::Switch
-                               : DispatchMode::Threaded;
     std::cout << "Single-run interpreter throughput (mixed corpus, "
               << runs << " runs per workload, best of " << repeats
-              << ", dispatch " << dispatchArg;
-    if (primary != DispatchMode::Switch &&
-        !threadedDispatchAvailable()) {
-        std::cout << " -> switch: threaded not compiled in";
-    }
-    std::cout << ")\n\n"
+              << ")\n\n"
               << cell("workload", 26) << cell("runs", 7)
               << cell("Minstr", 9) << cell("wall s", 9)
-              << cell("Minstr/s", 10) << cell("super%", 8);
-    if (abMode)
-        std::cout << cell("sw Mi/s", 9) << cell("thr/sw", 8);
-    std::cout << '\n';
+              << cell("Minstr/s", 10) << cell("super%", 8) << '\n';
 
     resetVmStats();
     std::vector<WorkloadResult> results;
     WorkloadResult aggregate;
     aggregate.name = "aggregate";
     for (const WorkloadSpec &spec : mixedCorpus()) {
-        WorkloadResult r = timeWorkload(spec, runs, repeats, primary);
-        if (abMode) {
-            WorkloadResult rs =
-                timeWorkload(spec, runs, repeats,
-                             DispatchMode::Switch);
-            r.wallSecSwitch = rs.wallSec;
-        }
+        WorkloadResult r = timeWorkload(spec, runs, repeats);
         std::ostringstream mi, ws, ips, sup;
         mi << std::fixed << std::setprecision(1)
            << static_cast<double>(r.instructions) / 1e6;
@@ -434,24 +293,12 @@ main(int argc, char **argv)
         std::cout << cell(r.name, 26)
                   << cell(std::to_string(r.runs), 7)
                   << cell(mi.str(), 9) << cell(ws.str(), 9)
-                  << cell(ips.str(), 10) << cell(sup.str(), 8);
-        if (abMode) {
-            std::ostringstream sw, sp;
-            sw << std::fixed << std::setprecision(1)
-               << r.ipsSwitch() / 1e6;
-            sp << std::fixed << std::setprecision(2)
-               << (r.wallSecSwitch > 0.0 && r.wallSec > 0.0
-                       ? r.wallSecSwitch / r.wallSec
-                       : 0.0);
-            std::cout << cell(sw.str(), 9) << cell(sp.str(), 8);
-        }
-        std::cout << '\n';
+                  << cell(ips.str(), 10) << cell(sup.str(), 8) << '\n';
         aggregate.runs += r.runs;
         aggregate.instructions += r.instructions;
         aggregate.steps += r.steps;
         aggregate.fusedPairs += r.fusedPairs;
         aggregate.wallSec += r.wallSec;
-        aggregate.wallSecSwitch += r.wallSecSwitch;
         results.push_back(std::move(r));
     }
 
@@ -460,20 +307,6 @@ main(int argc, char **argv)
               << static_cast<double>(aggregate.steps) / 1e6 /
                      aggregate.wallSec
               << " Msteps/s) over " << aggregate.runs << " runs\n";
-    if (abMode) {
-        std::cout << "aggregate (switch dispatch): "
-                  << (aggregate.wallSecSwitch > 0.0
-                          ? static_cast<double>(
-                                aggregate.instructions) /
-                                aggregate.wallSecSwitch / 1e6
-                          : 0.0)
-                  << " Minstr/s, threaded speedup "
-                  << (aggregate.wallSec > 0.0
-                          ? aggregate.wallSecSwitch /
-                                aggregate.wallSec
-                          : 0.0)
-                  << "x\n";
-    }
     std::cout << "vm fast-path: mru-hit-rate "
               << std::setprecision(3)
               << vmStats().gaugeValue("mru_hit_rate")
@@ -493,7 +326,7 @@ main(int argc, char **argv)
         }
     }
 
-    writeJson(outPath, results, aggregate, baselineIps, abMode);
+    writeJson(outPath, results, aggregate, baselineIps);
     std::cout << "(written to " << outPath << ")\n";
 
     if (!floorPath.empty()) {

@@ -117,7 +117,6 @@ runCampaign(ProgramPtr prog, const Workload &failing,
                 workload.forRun(seed_base + i);
             machineOpts.lbrEntries = opts.log.lbrEntries;
             machineOpts.lcrEntries = opts.log.lcrEntries;
-            machineOpts.dispatch = opts.dispatch;
             return memoizedRun(prog, overlay, progFp, optionsFp,
                                machineOpts);
         };

@@ -63,12 +63,6 @@ struct AutoDiagOptions
      * see exec/run_pool.hh for the determinism contract.
      */
     unsigned jobs = 0;
-    /**
-     * Interpreter dispatch mechanism for every run of the campaign.
-     * Result-invariant (vm/options.hh): any mode produces the same
-     * ranking, so this is a speed knob only.
-     */
-    DispatchMode dispatch = DispatchMode::Auto;
 };
 
 /**

@@ -8,10 +8,18 @@
 #ifndef STM_HW_MSR_HH
 #define STM_HW_MSR_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace stm::msr
 {
+
+/**
+ * Deepest LBR/LCR ring a tool lets a user configure. Real parts have
+ * 4 to 32 LBR entries (Section 2.1); the bound keeps a mistyped depth
+ * from sizing each ring's slot vector into an allocation failure.
+ */
+constexpr std::size_t kMaxRecordEntries = 1024;
 
 // ---- Table 1: LBR-related machine specific registers -------------------
 

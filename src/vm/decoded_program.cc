@@ -146,9 +146,9 @@ decodeSecondary(DecodedOp &d, const Instruction &inst,
 }
 
 /**
- * The superinstruction selection table: the top pairs of the corpus
- * opcode-pair histogram (bench_vm_throughput --pair-histogram over
- * all 131 registry runs; see DESIGN.md §13). The measured top eight —
+ * The superinstruction selection table: the top pairs of a corpus
+ * opcode-pair histogram over the unfused stream of all 131 registry
+ * runs of the time (DESIGN.md §13). The measured top eight —
  * movi+and 21.6%, and+movi 21.4%, movi+br 14.9%, addi+movi 10.9%,
  * addi+br 7.4%, movi+mul 7.4%, mul+addi 7.3%, br+jmp 3.5% — together
  * cover ~94% of all statically adjacent retirements: the corpus

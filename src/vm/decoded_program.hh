@@ -18,8 +18,8 @@
  * opcode, (b) folds Lea into Movi with the symbol address resolved at
  * predecode time, (c) funnels the five scheduler-visible sync ops
  * into one cold handler, and (d) adds profile-selected
- * *superinstructions*: hot opcode pairs from the corpus opcode-pair
- * histogram (see vm_stats.hh) fused into a single handler that
+ * *superinstructions*: hot opcode pairs from a corpus opcode-pair
+ * histogram (DESIGN.md §13) fused into a single handler that
  * retires two instructions per dispatch. Fusion is transparent: the
  * decoded stream stays 1:1 with pcs (the second op of a pair keeps
  * its own plain record at pc+1, so dynamic jumps into the middle of a
@@ -30,7 +30,7 @@
  * fused and unfused execution.
  *
  * The token list is an X-macro so the computed-goto label table in
- * the threaded interpreter (machine.cc) can never fall out of sync
+ * the interpreter (vm/interp_loop.inc) can never fall out of sync
  * with the enum.
  */
 
@@ -44,36 +44,18 @@
 #include "isa/instruction.hh"
 #include "program/program.hh"
 
-// STM_THREADED_DISPATCH is the build-level toggle (CMake option of
-// the same name); computed-goto dispatch additionally needs the
-// GNU &&label extension, so the effective availability macro is
-// STM_HAVE_THREADED_DISPATCH.
-#ifndef STM_THREADED_DISPATCH
-#define STM_THREADED_DISPATCH 1
-#endif
-#if STM_THREADED_DISPATCH && (defined(__GNUC__) || defined(__clang__))
-#define STM_HAVE_THREADED_DISPATCH 1
-#else
-#define STM_HAVE_THREADED_DISPATCH 0
+// The interpreter dispatches by computed goto (the GNU &&label
+// extension), which GCC and Clang both provide.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the MiniVM interpreter needs computed goto (GCC or Clang)"
 #endif
 
 namespace stm
 {
 
-/** Whether this build can run the token-threaded interpreter. */
-constexpr bool kThreadedDispatchAvailable =
-    STM_HAVE_THREADED_DISPATCH != 0;
-
-/** Runtime query (for tools/benches that print the dispatch mode). */
-inline bool
-threadedDispatchAvailable()
-{
-    return kThreadedDispatchAvailable;
-}
-
 /**
  * The handler-token list. One X(...) per interpreter handler; the
- * order defines the ExecToken numbering and the threaded label table.
+ * order defines the ExecToken numbering and the label table.
  * Plain tokens first, then the profile-selected superinstructions
  * (see predecode() for the fusion rules and DESIGN.md §13 for how the
  * set was chosen from the corpus opcode-pair histogram).

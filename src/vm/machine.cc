@@ -225,21 +225,12 @@ Machine::prepareDispatch()
     codeSize_ = static_cast<std::uint32_t>(prog_->code.size());
     cciEnabled_ = instr_->cciEnabled;
 
-    // Pair profiling needs architectural opcodes in retirement order,
-    // so it forces the switch loop over an unfused stream.
-    pairProf_ = opcodePairProfilingEnabled();
-    const bool fuse = opts_.enableSuperinstructions && !pairProf_;
-    decoded_ = globalDecodeCache().acquire(*prog_, *instr_, fuse);
+    decoded_ = globalDecodeCache().acquire(
+        *prog_, *instr_, opts_.enableSuperinstructions);
     dops_ = decoded_->ops.data();
 
-    useThreaded_ = kThreadedDispatchAvailable && !pairProf_ &&
-                   opts_.dispatch != DispatchMode::Switch;
     irqOn_ = opts_.irq.prob > 0.0 &&
              prog_->irqHandlerEntry != Program::kNoIrqHandler;
-    if (pairProf_) {
-        pairLocal_ =
-            std::make_unique<std::uint64_t[]>(kOpcodePairTableSize);
-    }
 }
 
 Thread &
@@ -396,9 +387,9 @@ Machine::bootOrRestore()
 void
 Machine::restoreFromCheckpoint(const MachineCheckpoint &ckpt)
 {
-    // The run's identity (program, decoded stream, dispatch mode) is
-    // reconstructed, not restored: the checkpoint only carries the
-    // mutable trajectory state.
+    // The run's identity (program, decoded stream) is reconstructed,
+    // not restored: the checkpoint only carries the mutable
+    // trajectory state.
     prepareDispatch();
 
     rng_ = ckpt.rng;
@@ -615,8 +606,6 @@ Machine::run()
         sample.cacheMruHits += bus_.cache(c).mruHits();
     }
     recordVmRun(sample);
-    if (pairProf_ && pairLocal_)
-        accumulateOpcodePairs(pairLocal_.get());
     runSpan.setArg(steps_);
     return std::move(result_);
 }
@@ -631,31 +620,8 @@ Machine::stepLimitHang(Thread &t)
     return StepStatus::RunEnded;
 }
 
-Machine::StepStatus
-Machine::runQuantum(Thread &t, std::uint32_t &quantum_left)
-{
-#if STM_HAVE_THREADED_DISPATCH
-    if (useThreaded_) [[likely]]
-        return interpretThreaded(t, quantum_left);
-#endif
-    return interpretSwitch(t, quantum_left);
-}
-
-// The interpreter loops themselves: one handler-body template
-// (vm/interp_loop.inc) instantiated for each dispatch mechanism.
-#define STM_INTERP_NAME interpretSwitch
-#define STM_INTERP_THREADED 0
+// The interpreter loop itself, Machine::runQuantum.
 #include "vm/interp_loop.inc"
-#undef STM_INTERP_NAME
-#undef STM_INTERP_THREADED
-
-#if STM_HAVE_THREADED_DISPATCH
-#define STM_INTERP_NAME interpretThreaded
-#define STM_INTERP_THREADED 1
-#include "vm/interp_loop.inc"
-#undef STM_INTERP_NAME
-#undef STM_INTERP_THREADED
-#endif
 
 Machine::StepStatus
 Machine::execSync(Thread &t, const Instruction &inst)

@@ -185,11 +185,9 @@ class Machine
     /**
      * Acquire this run's predecoded operand stream from the global
      * decode cache (built on first use per (program, hook-tables,
-     * fusion) key) and resolve the dispatch mode: token-threaded
-     * computed goto where compiled in and selected, the portable
-     * switch otherwise. Replaces PR 2's per-run dispatch tables —
-     * the flags byte and hook side tables now live inside the shared
-     * DecodedProgram.
+     * fusion) key) and hoist the fields runQuantum reads. Replaces
+     * PR 2's per-run dispatch tables — the flags byte and hook side
+     * tables now live inside the shared DecodedProgram.
      */
     void prepareDispatch();
 
@@ -198,26 +196,10 @@ class Machine
     /**
      * Interpret @p thread until its quantum expires (returns Continue
      * with @p quantum_left at 0), it blocks/yields/preempts
-     * (SwitchThread), or the run ends (RunEnded). Thin wrapper that
-     * tail-calls the selected interpreter loop.
+     * (SwitchThread), or the run ends (RunEnded). The computed-goto
+     * loop in vm/interp_loop.inc.
      */
     StepStatus runQuantum(Thread &thread, std::uint32_t &quantum_left);
-
-    /**
-     * The two interpreter loops. Both are generated from one handler
-     * include (vm/interp_loop.inc) so their per-instruction semantics
-     * are textually identical: the switch loop is the portable
-     * fallback (and the opcode-pair profiling vehicle); the threaded
-     * loop replicates the dispatch at every handler tail via computed
-     * goto. Bit-identical RunResults by construction, pinned by
-     * test_golden_determinism under both modes.
-     */
-    StepStatus interpretSwitch(Thread &thread,
-                               std::uint32_t &quantum_left);
-#if STM_HAVE_THREADED_DISPATCH
-    StepStatus interpretThreaded(Thread &thread,
-                                 std::uint32_t &quantum_left);
-#endif
 
     StepStatus execSync(Thread &thread, const Instruction &inst);
     StepStatus execSyscall(Thread &thread, const Instruction &inst);
@@ -240,7 +222,7 @@ class Machine
     StepStatus stepLimitHang(Thread &thread);
 
     /**
-     * The interpreter loops' combined limit handler: the hoisted
+     * The interpreter loop's combined limit handler: the hoisted
      * per-quantum limit is min(opts_.maxSteps, pauseAtStep_), so a
      * trip here is either a requested pause (steps_ == pauseAtStep_,
      * state untouched, resumable) or the real step-limit hang.
@@ -313,15 +295,13 @@ class Machine
     // ---- hot-path dispatch state (resolved once per run) ----
     /** This run's predecoded stream (shared via the decode cache). */
     DecodedProgramPtr decoded_;
-    /** decoded_->ops.data(), hoisted for the interpreter loops. */
+    /** decoded_->ops.data(), hoisted for the interpreter loop. */
     const DecodedOp *dops_ = nullptr;
     const Instruction *code_ = nullptr;
     std::uint32_t codeSize_ = 0;
     bool cciEnabled_ = false;
     /** Superinstruction pairs retired this run (each covers 2 steps). */
     std::uint64_t fusedPairs_ = 0;
-    /** Dispatch via the computed-goto loop (vs the portable switch). */
-    bool useThreaded_ = false;
     /** Interrupt delivery armed (irq.prob > 0 and a handler exists). */
     bool irqOn_ = false;
     /** Interrupts delivered / handler instructions this run (vm stats). */
@@ -329,10 +309,6 @@ class Machine
     std::uint64_t irqHandlerSteps_ = 0;
     /** Main-loop steps retired at CPL0 (sysenter stub bodies). */
     std::uint64_t kernelSteps_ = 0;
-    /** Opcode-pair profiling active: switch loop, unfused stream. */
-    bool pairProf_ = false;
-    /** Local (first, second) opcode histogram when pairProf_. */
-    std::unique_ptr<std::uint64_t[]> pairLocal_;
     /** One past the last mapped global byte (fixed at construction). */
     Addr globalsEnd_ = layout::kGlobalBase;
     /** Bytes of the contiguous live-stack span (threads are dense). */

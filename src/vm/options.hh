@@ -56,18 +56,6 @@ struct InterruptOptions
     std::uint32_t handlerStepBudget = 4096;
 };
 
-/**
- * Interpreter dispatch strategy. Every mode produces bit-identical
- * RunResults — the threaded and switch loops share one handler-body
- * include and the golden corpus pins both (test_golden_determinism) —
- * so the choice is pure mechanism, not semantics.
- */
-enum class DispatchMode : std::uint8_t {
-    Auto,     //!< threaded where compiled in, else the portable switch
-    Threaded, //!< prefer threaded (falls back if not compiled in)
-    Switch,   //!< force the portable switch loop
-};
-
 /** Full machine configuration for one run. */
 struct MachineOptions
 {
@@ -87,13 +75,14 @@ struct MachineOptions
     InterruptOptions irq;
 
     /**
-     * Dispatch mechanism knobs. Result-invariant by construction, so
-     * deliberately NOT part of fingerprintMachineOptions(): a run
-     * cached under threaded dispatch may be served to a switch-mode
-     * campaign and vice versa.
+     * Fuse profile-selected superinstructions at predecode time.
+     * Result-invariant by construction (the fused handlers replay the
+     * per-step protocol between their halves), so deliberately NOT
+     * part of fingerprintMachineOptions(): a run cached with fusion
+     * may be served to an unfused campaign and vice versa. The
+     * unfused stream is the reference the fusion tests compare
+     * against.
      */
-    DispatchMode dispatch = DispatchMode::Auto;
-    /** Fuse profile-selected superinstructions at predecode time. */
     bool enableSuperinstructions = true;
 };
 

@@ -1,7 +1,5 @@
 #include "vm/vm_stats.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <mutex>
 
 namespace stm
@@ -15,22 +13,6 @@ vmStatsMutex()
 {
     static std::mutex mu;
     return mu;
-}
-
-std::atomic<bool> pairProfilingEnabled{false};
-
-std::mutex &
-pairMutex()
-{
-    static std::mutex mu;
-    return mu;
-}
-
-std::uint64_t *
-pairTable()
-{
-    static std::uint64_t table[kOpcodePairTableSize] = {};
-    return table;
 }
 
 } // namespace
@@ -84,62 +66,6 @@ recordVmRun(const VmRunSample &sample)
     stats.gauge("super_hit_rate")
         .set(rate(2 * stats.value("fused_pairs"),
                   stats.value("steps")));
-}
-
-void
-setOpcodePairProfiling(bool enabled)
-{
-    pairProfilingEnabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-opcodePairProfilingEnabled()
-{
-    return pairProfilingEnabled.load(std::memory_order_relaxed);
-}
-
-void
-accumulateOpcodePairs(const std::uint64_t *table)
-{
-    std::lock_guard<std::mutex> lock(pairMutex());
-    std::uint64_t *global = pairTable();
-    for (std::size_t i = 0; i < kOpcodePairTableSize; ++i)
-        global[i] += table[i];
-}
-
-std::vector<OpcodePairCount>
-opcodePairHistogram(std::size_t top_n)
-{
-    std::vector<OpcodePairCount> rows;
-    {
-        std::lock_guard<std::mutex> lock(pairMutex());
-        const std::uint64_t *global = pairTable();
-        for (std::size_t i = 0; i < kOpcodePairTableSize; ++i) {
-            if (global[i] == 0)
-                continue;
-            OpcodePairCount row;
-            row.first = static_cast<Opcode>(i / kOpcodeCount);
-            row.second = static_cast<Opcode>(i % kOpcodeCount);
-            row.count = global[i];
-            rows.push_back(row);
-        }
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const OpcodePairCount &a, const OpcodePairCount &b) {
-                  return a.count > b.count;
-              });
-    if (top_n > 0 && rows.size() > top_n)
-        rows.resize(top_n);
-    return rows;
-}
-
-void
-resetOpcodePairHistogram()
-{
-    std::lock_guard<std::mutex> lock(pairMutex());
-    std::uint64_t *global = pairTable();
-    for (std::size_t i = 0; i < kOpcodePairTableSize; ++i)
-        global[i] = 0;
 }
 
 } // namespace stm

@@ -16,22 +16,13 @@
  *  - mem_fast_rate: mem_fast_hits / mem_accesses
  *  - super_hit_rate: 2 * fused_pairs / steps (share of retired
  *    instructions executed inside a superinstruction)
- *
- * This header also hosts the opcode-pair profiling channel behind the
- * superinstruction selection: with setOpcodePairProfiling(true) every
- * Machine runs the portable switch loop over an *unfused* stream and
- * histograms consecutive (opcode, opcode) retirements; the aggregate
- * table (opcodePairHistogram) is what chose the fused token set (see
- * bench_vm_throughput --pair-histogram and DESIGN.md §13).
  */
 
 #ifndef STM_VM_VM_STATS_HH
 #define STM_VM_VM_STATS_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "isa/opcode.hh"
 #include "support/stats.hh"
 
 namespace stm
@@ -64,46 +55,6 @@ struct VmRunSample
 
 /** Thread-safe: called by Machine::run() on pool workers. */
 void recordVmRun(const VmRunSample &sample);
-
-// ---- opcode-pair profiling (superinstruction selection) ----
-
-/** Dense (first, second) opcode-pair table size. */
-constexpr std::size_t kOpcodePairTableSize =
-    kOpcodeCount * kOpcodeCount;
-
-/**
- * Globally enable/disable opcode-pair profiling. While enabled,
- * Machines force the switch interpreter over unfused streams (so the
- * histogram sees architectural opcodes, never fused tokens) and fold
- * their local pair tables into the global histogram at run end.
- */
-void setOpcodePairProfiling(bool enabled);
-
-/** Whether pair profiling is on (relaxed atomic; read per run). */
-bool opcodePairProfilingEnabled();
-
-/**
- * Fold one run's local table (kOpcodePairTableSize entries, indexed
- * first * kOpcodeCount + second) into the global histogram.
- */
-void accumulateOpcodePairs(const std::uint64_t *table);
-
-/** One aggregated histogram row. */
-struct OpcodePairCount
-{
-    Opcode first = Opcode::Nop;
-    Opcode second = Opcode::Nop;
-    std::uint64_t count = 0;
-};
-
-/**
- * The aggregate histogram, non-zero rows sorted by descending count.
- * @p top_n > 0 truncates to the hottest rows.
- */
-std::vector<OpcodePairCount> opcodePairHistogram(std::size_t top_n = 0);
-
-/** Zero the global histogram. */
-void resetOpcodePairHistogram();
 
 } // namespace stm
 

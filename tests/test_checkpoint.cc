@@ -4,8 +4,8 @@
  *
  *  - the differential guarantee — resuming a run from a checkpoint at
  *    any √T-spaced quantum boundary produces a RunResult bit-identical
- *    to the from-scratch run, under both dispatch modes, across a
- *    corpus sample including the kernel/IRQ pack;
+ *    to the from-scratch run, across a corpus sample including the
+ *    kernel/IRQ pack;
  *  - runToStep() pause/continue semantics and perturbation-free
  *    periodic capture;
  *  - RNG stream save/restore (property): a copied Pcg32 mid-run
@@ -96,53 +96,42 @@ preemptingOptions(std::uint64_t seed, std::uint32_t quantum = 7)
 /**
  * The tentpole differential: record checkpoints at √T-spaced quantum
  * boundaries, then resume from EVERY one of them and require a
- * RunResult bit-identical to the from-scratch run — under both
- * dispatch modes. Also asserts the recording run itself is
- * unperturbed by capture.
+ * RunResult bit-identical to the from-scratch run. Also asserts the
+ * recording run itself is unperturbed by capture.
  */
 void
 expectResumeMatchesScratch(
-    const ProgramPtr &prog, MachineOptions opts,
+    const ProgramPtr &prog, const MachineOptions &opts,
     const std::shared_ptr<const Instrumentation> &overlay,
     const std::string &what)
 {
-    for (DispatchMode mode :
-         {DispatchMode::Threaded, DispatchMode::Switch}) {
-        opts.dispatch = mode;
-        const char *modeName =
-            mode == DispatchMode::Threaded ? "threaded" : "switch";
+    Machine scratchMachine(prog, opts, overlay);
+    RunResult scratch = scratchMachine.run();
+    std::uint64_t totalSteps = scratchMachine.steps();
 
-        Machine scratchMachine(prog, opts, overlay);
-        RunResult scratch = scratchMachine.run();
-        std::uint64_t totalSteps = scratchMachine.steps();
+    std::uint64_t every =
+        defaultCheckpointInterval(totalSteps, opts.sched.quantum);
+    std::vector<MachineCheckpointPtr> checkpoints;
+    Machine recorder(prog, opts, overlay);
+    recorder.enableCheckpoints(every, [&](MachineCheckpointPtr ckpt) {
+        checkpoints.push_back(std::move(ckpt));
+    });
+    RunResult recorded = recorder.run();
+    EXPECT_TRUE(recorded == scratch)
+        << what << ": periodic capture perturbed the run";
+    if (totalSteps > 2 * every) {
+        EXPECT_GE(checkpoints.size(), 1u)
+            << what << ": T=" << totalSteps << " every=" << every
+            << " recorded no checkpoints";
+    }
 
-        std::uint64_t every = defaultCheckpointInterval(
-            totalSteps, opts.sched.quantum);
-        std::vector<MachineCheckpointPtr> checkpoints;
-        Machine recorder(prog, opts, overlay);
-        recorder.enableCheckpoints(
-            every, [&](MachineCheckpointPtr ckpt) {
-                checkpoints.push_back(std::move(ckpt));
-            });
-        RunResult recorded = recorder.run();
-        EXPECT_TRUE(recorded == scratch)
-            << what << " (" << modeName
-            << "): periodic capture perturbed the run";
-        if (totalSteps > 2 * every) {
-            EXPECT_GE(checkpoints.size(), 1u)
-                << what << " (" << modeName << "): T=" << totalSteps
-                << " every=" << every << " recorded no checkpoints";
-        }
-
-        for (const MachineCheckpointPtr &ckpt : checkpoints) {
-            ASSERT_LT(ckpt->step, totalSteps);
-            Machine resumed(prog, opts, overlay, ckpt);
-            RunResult replay = resumed.run();
-            EXPECT_TRUE(replay == scratch)
-                << what << " (" << modeName
-                << "): resume at step " << ckpt->step << " of "
-                << totalSteps << " diverged";
-        }
+    for (const MachineCheckpointPtr &ckpt : checkpoints) {
+        ASSERT_LT(ckpt->step, totalSteps);
+        Machine resumed(prog, opts, overlay, ckpt);
+        RunResult replay = resumed.run();
+        EXPECT_TRUE(replay == scratch)
+            << what << ": resume at step " << ckpt->step << " of "
+            << totalSteps << " diverged";
     }
 }
 

@@ -285,25 +285,5 @@ TEST(DecodeCache, FusedMatchesUnfusedUnderSeededPreemption)
     }
 }
 
-TEST(DecodeCache, DispatchModesShareCacheEntries)
-{
-    FreshCacheGuard guard;
-    ProgramPtr prog = pairHeavyProgram();
-
-    // The dispatch mode is not part of the cache key: a stream built
-    // under threaded dispatch is served, unchanged, to a switch-mode
-    // run (both interpret the same DecodedOp records).
-    MachineOptions threaded;
-    threaded.dispatch = DispatchMode::Threaded;
-    MachineOptions fallback;
-    fallback.dispatch = DispatchMode::Switch;
-
-    RunResult a = Machine(prog, threaded).run();
-    RunResult b = Machine(prog, fallback).run();
-    EXPECT_TRUE(a == b);
-    EXPECT_EQ(cacheStat("misses"), 1u);
-    EXPECT_GE(cacheStat("hits"), 1u);
-}
-
 } // namespace
 } // namespace stm

@@ -204,8 +204,9 @@ configPlan(const BugSpec &bug, Config c)
     return plan;
 }
 
+/** Run @p bug under @p c, with or without superinstruction fusion. */
 RunResult
-runConfigDispatch(const BugSpec &bug, Config c, DispatchMode mode)
+runConfig(const BugSpec &bug, Config c, bool fused = true)
 {
     const Workload &w =
         c == Config::BareSucc ? bug.succeeding : bug.failing;
@@ -213,15 +214,9 @@ runConfigDispatch(const BugSpec &bug, Config c, DispatchMode mode)
                              : c == Config::CbiFail ? 2
                                                     : 0;
     MachineOptions opts = w.forRun(runIndex);
-    opts.dispatch = mode;
+    opts.enableSuperinstructions = fused;
     Machine machine(bug.program, opts, configPlan(bug, c));
     return machine.run();
-}
-
-RunResult
-runConfig(const BugSpec &bug, Config c)
-{
-    return runConfigDispatch(bug, c, DispatchMode::Auto);
 }
 
 /**
@@ -408,7 +403,7 @@ fullRegistry()
     bugs.insert(bugs.end(), micro.begin(), micro.end());
     // The kernel-mode pack: privilege transitions, seeded interrupt
     // delivery, and ring-0 handler execution all pinned under every
-    // configuration and both dispatch modes.
+    // configuration, fused and unfused.
     std::vector<BugSpec> kernel = corpus::kernelBugs();
     bugs.insert(bugs.end(), kernel.begin(), kernel.end());
     bugs.push_back(corpus::bugById("kirq-noise-quiet"));
@@ -455,31 +450,27 @@ TEST(GoldenDeterminism, CorpusRunResultsMatchSeedInterpreter)
 }
 
 /**
- * Dispatch mechanism is pure mechanism: for every corpus entry and
- * configuration, the token-threaded (computed-goto) interpreter and
- * the portable switch fallback must produce field-identical
- * RunResults, and both must land on the seed interpreter's golden
- * fingerprint. In a -DSTM_THREADED_DISPATCH=OFF build both requests
- * resolve to the switch loop and the test degenerates to (still
- * useful) golden re-pinning.
+ * Superinstruction fusion is pure mechanism: for every corpus entry
+ * and configuration, the unfused stream (every instruction its own
+ * dispatch) must produce a RunResult field-identical to the default
+ * fused run, and both must land on the seed interpreter's golden
+ * fingerprint. The unfused stream is the second execution path that
+ * keeps the fused handlers' replay of the per-step protocol honest.
  */
-TEST(GoldenDeterminism, ThreadedAndSwitchDispatchAreBitIdentical)
+TEST(GoldenDeterminism, FusedAndUnfusedStreamsAreBitIdentical)
 {
     for (const BugSpec &bug : fullRegistry()) {
         for (Config c : configsFor(bug)) {
             std::string key = bug.id + "/" + configName(c);
-            RunResult threaded =
-                runConfigDispatch(bug, c, DispatchMode::Threaded);
-            RunResult fallback =
-                runConfigDispatch(bug, c, DispatchMode::Switch);
-            EXPECT_TRUE(threaded == fallback)
-                << "threaded and switch dispatch diverged for " << key;
-            std::uint64_t h = fingerprint(fallback);
+            RunResult fused = runConfig(bug, c);
+            RunResult unfused = runConfig(bug, c, false);
+            EXPECT_TRUE(fused == unfused)
+                << "fused and unfused streams diverged for " << key;
             auto it = kGolden.find(key);
             ASSERT_NE(it, kGolden.end())
                 << "no golden fingerprint for " << key;
-            EXPECT_EQ(h, it->second)
-                << "switch-dispatch RunResult diverged from the seed "
+            EXPECT_EQ(fingerprint(unfused), it->second)
+                << "unfused RunResult diverged from the seed "
                    "interpreter for "
                 << key;
         }

@@ -319,53 +319,33 @@ TEST(Interrupts, SameSeedSameResult)
     EXPECT_EQ(a, b);
 }
 
-TEST(Interrupts, DispatchModeAndFusionInvariant)
+TEST(Interrupts, FusionInvariant)
 {
     BugSpec bug = corpus::bugById("kirq-race");
-    MachineOptions base = bug.failing.forRun(0);
-    RunResult reference;
-    bool first = true;
-    for (DispatchMode mode :
-         {DispatchMode::Switch, DispatchMode::Threaded}) {
-        for (bool fuse : {false, true}) {
-            MachineOptions opts = base;
-            opts.dispatch = mode;
-            opts.enableSuperinstructions = fuse;
-            RunResult r = runOnce(bug.program, opts);
-            if (first) {
-                reference = r;
-                first = false;
-            } else {
-                EXPECT_EQ(r, reference);
-            }
-        }
-    }
-    EXPECT_TRUE(reference.failStop());
+    MachineOptions opts = bug.failing.forRun(0);
+    opts.enableSuperinstructions = false;
+    RunResult unfused = runOnce(bug.program, opts);
+    opts.enableSuperinstructions = true;
+    RunResult fused = runOnce(bug.program, opts);
+    EXPECT_EQ(fused, unfused);
+    EXPECT_TRUE(unfused.failStop());
 }
 
 TEST(Interrupts, NoOpHandlerRunsBitIdenticalToUninterrupted)
 {
     // A bare-iret handler must leave the RunResult byte-identical to
     // a run with delivery disabled: no step, quantum, stats, or
-    // profile effects — at every quantum and under both dispatch
-    // loops.
+    // profile effects — at every quantum.
     ProgramPtr prog =
         interruptedProgram([](ProgramBuilder &) {});
     for (std::uint32_t quantum : {1u, 3u, 50u}) {
-        for (DispatchMode mode :
-             {DispatchMode::Switch, DispatchMode::Threaded}) {
-            MachineOptions off;
-            off.sched.quantum = quantum;
-            off.dispatch = mode;
-            MachineOptions on = off;
-            on.irq.prob = 0.3;
-            RunResult quiet = runOnce(prog, off);
-            RunResult interrupted = runOnce(prog, on);
-            EXPECT_EQ(quiet, interrupted)
-                << "quantum=" << quantum << " mode="
-                << (mode == DispatchMode::Switch ? "switch"
-                                                 : "threaded");
-        }
+        MachineOptions off;
+        off.sched.quantum = quantum;
+        MachineOptions on = off;
+        on.irq.prob = 0.3;
+        RunResult quiet = runOnce(prog, off);
+        RunResult interrupted = runOnce(prog, on);
+        EXPECT_EQ(quiet, interrupted) << "quantum=" << quantum;
     }
 }
 

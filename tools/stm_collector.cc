@@ -39,6 +39,7 @@
 #include "fleet/durable/campaign.hh"
 #include "fleet/durable/durable_collector.hh"
 #include "fleet/fleet_sim.hh"
+#include "hw/msr.hh"
 #include "support/flags.hh"
 #include "support/logging.hh"
 #include "trace_cli.hh"
@@ -237,9 +238,11 @@ main(int argc, char **argv)
         {numberFlag("--machines", &cli.machines,
                     "simulated fleet size (default 16)", 1),
          numberFlag("--profiles", &cli.profiles,
-                    "failure/success reports to aggregate (default 10)"),
+                    "failure/success reports to aggregate (default 10)",
+                    1),
          numberFlag("--entries", &cli.entries,
-                    "LBR/LCR record depth (default 16)"),
+                    "LBR/LCR record depth (default 16)", 1,
+                    msr::kMaxRecordEntries),
          switchFlag("--conf1", &cli.conf1,
                     "space-saving LCR configuration"),
          numberFlag("--dup-every", &cli.duplicateEvery,

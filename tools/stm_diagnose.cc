@@ -7,7 +7,7 @@
  *   stm_diagnose <bug-id> [--tool lbrlog|lcrlog|lbra|lcra|cbi|auto]
  *                [--no-toggling] [--entries N] [--conf1]
  *                [--profiles N] [--proactive] [--top N] [--fleet N]
- *                [--jobs N] [--trace FILE] [--dispatch MODE]
+ *                [--jobs N] [--trace FILE]
  *       run one diagnosis pipeline on one corpus entry and print the
  *       developer-facing report (`stm_diagnose --help` lists the
  *       flags)
@@ -38,6 +38,7 @@
 #include "diag/report.hh"
 #include "exec/run_pool.hh"
 #include "fleet/fleet_sim.hh"
+#include "hw/msr.hh"
 #include "support/flags.hh"
 #include "support/logging.hh"
 #include "trace_cli.hh"
@@ -59,18 +60,7 @@ struct CliOptions
     bool list = false;
     std::uint64_t fleet = 0; //!< 0 = in-process; N = fleet machines
     std::string tracePath;   //!< dump trace events here when set
-    std::string dispatch = "auto";
 };
-
-DispatchMode
-dispatchMode(const std::string &text)
-{
-    if (text == "threaded")
-        return DispatchMode::Threaded;
-    if (text == "switch")
-        return DispatchMode::Switch;
-    return DispatchMode::Auto;
-}
 
 int
 listCorpus()
@@ -118,11 +108,13 @@ main(int argc, char **argv)
          switchFlag("--no-toggling", &cli.noToggling,
                     "disable library toggling (Section 4.3)"),
          numberFlag("--entries", &cli.entries,
-                    "LBR/LCR record depth (default 16)"),
+                    "LBR/LCR record depth (default 16)", 1,
+                    msr::kMaxRecordEntries),
          switchFlag("--conf1", &cli.conf1,
                     "use the space-saving LCR configuration"),
          numberFlag("--profiles", &cli.profiles,
-                    "failure/success profiles for LBRA/LCRA (default 10)"),
+                    "failure/success profiles for LBRA/LCRA (default 10)",
+                    1),
          switchFlag("--proactive", &cli.proactive,
                     "proactive success-site scheme"),
          numberFlag("--top", &cli.top, "predictors to print (default 5)"),
@@ -134,12 +126,7 @@ main(int argc, char **argv)
          textFlag("--trace", &cli.tracePath, "FILE",
                   "record trace events for the run and dump them\n"
                   "to FILE (.json = Chrome trace_event, else\n"
-                  "binary STMT)"),
-         choiceFlag("--dispatch", &cli.dispatch,
-                    {"auto", "threaded", "switch"},
-                    "interpreter dispatch loop (default auto =\n"
-                    "threaded where compiled in; the ranking is\n"
-                    "identical for every mode)")});
+                  "binary STMT)")});
     std::vector<std::string> positional = flags.parseOrExit(argc, argv);
     if (cli.list)
         return listCorpus();
@@ -232,7 +219,6 @@ main(int argc, char **argv)
         opts.scheme = cli.proactive
                           ? transform::SuccessSiteScheme::Proactive
                           : transform::SuccessSiteScheme::Reactive;
-        opts.dispatch = dispatchMode(cli.dispatch);
         AutoDiagResult result =
             tool == "lbra"
                 ? runLbra(bug.program, bug.failing, bug.succeeding,
