@@ -27,10 +27,9 @@
  * merge contract at fleet scale.
  *
  * Output: table on stdout plus BENCH_fleet_campaign.json (--out
- * FILE). --check-floor (default on; --no-check disables) fails the
- * bench if any configuration misses diagnosis, the clock does not
- * shrink monotonically with fleet size, or the wave's merge is not
- * bit-identical.
+ * FILE). --check-floor fails the bench if any configuration misses
+ * diagnosis, the clock does not shrink monotonically with fleet
+ * size, or the wave's merge is not bit-identical.
  *
  * Flags: --max-machines N caps the sweep (default 1000000; at least
  * 1000, the smallest fleet, so the checks never pass on no rows);
@@ -159,21 +158,18 @@ writeJson(const std::string &path,
 int
 main(int argc, char **argv)
 {
-    bool noCheck = false;
     bool checkFloor = false;
     std::uint64_t maxMachines = 1000000;
     std::string outPath = "BENCH_fleet_campaign.json";
     parseFlags(argc, argv,
-               {switchFlag("--no-check", &noCheck, "skip the checks"),
-                switchFlag("--check-floor", &checkFloor,
-                           "run the checks (the default)"),
+               {switchFlag("--check-floor", &checkFloor,
+                           "fail if a check misses"),
                 textFlag("--out", &outPath, "FILE",
                          "JSON report (default BENCH_fleet_campaign.json)"),
                 numberFlag("--max-machines", &maxMachines,
                            "cap the fleet-size sweep, >= 1000 (the\n"
                            "smallest fleet; default 1000000)",
                            1000)});
-    bool check = checkFloor || !noCheck;
 
     std::cout << "Capturing campaign report pools (bug cp)...\n";
     fleet::FleetOptions fleetOpts;
@@ -275,7 +271,7 @@ main(int argc, char **argv)
               waveMachines);
     std::cout << "\n(written to " << outPath << ")\n";
 
-    if (check) {
+    if (checkFloor) {
         bool ok = identical;
         if (!identical)
             std::cerr << "FAIL: wave merge is not bit-identical\n";

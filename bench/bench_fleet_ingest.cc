@@ -17,11 +17,10 @@
  * collector's own StatGroup::toJson() accounting so the numbers are
  * cross-checkable against what the service believes happened.
  *
- * The submit row at the default payload is checked against a 1M
- * reports/sec floor (--check-floor makes the check explicit for CI;
- * --no-check disables it): one intake must absorb a fleet's worth of
- * reports with fingerprint dedup on, or the service, not the fleet,
- * is the bottleneck.
+ * With --check-floor, the submit row at the default payload is
+ * checked against a 1M reports/sec floor: one intake must absorb a
+ * fleet's worth of reports with fingerprint dedup on, or the
+ * service, not the fleet, is the bottleneck.
  *
  * Flags: --reports N frames per configuration (default 40000);
  * --repeat N best-of-N per configuration (default 3).
@@ -192,14 +191,12 @@ main(int argc, char **argv)
 {
     std::uint64_t reports = 40000;
     std::uint64_t repeats = 3;
-    bool noCheck = false;
     bool checkFloor = false;
     std::string outPath = "BENCH_fleet_ingest.json";
     FlagTable flags(
         {"[options]"},
-        {switchFlag("--no-check", &noCheck, "skip the floor check"),
-         switchFlag("--check-floor", &checkFloor,
-                    "check the floor (the default)"),
+        {switchFlag("--check-floor", &checkFloor,
+                    "fail below the 1M reports/sec floor"),
          numberFlag("--reports", &reports,
                     "frames per configuration (default 40000)", 1),
          numberFlag("--repeat", &repeats,
@@ -209,7 +206,6 @@ main(int argc, char **argv)
     std::vector<std::string> positional = flags.parseOrExit(argc, argv);
     if (!positional.empty())
         flags.usageError("unexpected argument: " + positional.front());
-    bool check = checkFloor || !noCheck;
 
     constexpr unsigned kDefaultLbrEntries = 8;
     constexpr double kFloorRate = 1000000.0;
@@ -276,7 +272,7 @@ main(int argc, char **argv)
     writeJson(outPath, results, kFloorRate);
     std::cout << "\n(written to " << outPath << ")\n";
 
-    if (check) {
+    if (checkFloor) {
         // results[0] is the submit path at the default payload.
         double single = results.front().rate();
         std::cout << "floor check: " << std::fixed

@@ -306,14 +306,9 @@ main(int argc, char **argv)
               << aggregate.ips() / 1e6 << " Minstr/s ("
               << static_cast<double>(aggregate.steps) / 1e6 /
                      aggregate.wallSec
-              << " Msteps/s) over " << aggregate.runs << " runs\n";
-    std::cout << "vm fast-path: mru-hit-rate "
-              << std::setprecision(3)
-              << vmStats().gaugeValue("mru_hit_rate")
-              << ", page-fast-rate "
-              << vmStats().gaugeValue("mem_fast_rate")
-              << ", super-hit-rate " << aggregate.superHitRate()
-              << '\n';
+              << " Msteps/s) over " << aggregate.runs
+              << " runs, super-hit-rate " << std::setprecision(3)
+              << aggregate.superHitRate() << '\n';
 
     double baselineIps = 0.0;
     if (!baselinePath.empty()) {

@@ -49,27 +49,10 @@ L1Cache::L1Cache(std::uint32_t core_id, const CacheGeometry &geometry)
     setsArePow2_ = isPowerOfTwo(numSets_);
     setMask_ = setsArePow2_ ? numSets_ - 1 : 0;
     lines_.resize(blocks);
-    mruWay_.assign(numSets_, 0);
     fills_ = &stats_.counter("fills");
     evictions_ = &stats_.counter("evictions");
     writebacks_ = &stats_.counter("writebacks");
     invalidationsReceived_ = &stats_.counter("invalidations_received");
-}
-
-L1Cache::Line *
-L1Cache::findLineSlow(Line *base, std::uint32_t set,
-                      std::uint32_t hint, Addr block)
-{
-    for (std::uint32_t w = 0; w < geometry_.assoc; ++w) {
-        if (w == hint)
-            continue;
-        Line &line = base[w];
-        if (line.state != MesiState::Invalid && line.tag == block) {
-            mruWay_[set] = w;
-            return &line;
-        }
-    }
-    return nullptr;
 }
 
 MesiState
@@ -84,22 +67,17 @@ L1Cache::fill(Addr block, MesiState state)
 {
     if (state == MesiState::Invalid)
         panic("fill with Invalid state");
-    std::uint32_t set = setIndex(block);
-    Line *base = &lines_[std::size_t{set} * geometry_.assoc];
+    Line *base = &lines_[std::size_t{setIndex(block)} * geometry_.assoc];
     Line *victim = nullptr;
-    std::uint32_t victimWay = 0;
     // Prefer an invalid way; otherwise evict true-LRU.
     for (std::uint32_t w = 0; w < geometry_.assoc; ++w) {
         Line &line = base[w];
         if (line.state == MesiState::Invalid) {
             victim = &line;
-            victimWay = w;
             break;
         }
-        if (!victim || line.lastUse < victim->lastUse) {
+        if (!victim || line.lastUse < victim->lastUse)
             victim = &line;
-            victimWay = w;
-        }
     }
     bool writeback = false;
     if (victim->state != MesiState::Invalid) {
@@ -112,7 +90,6 @@ L1Cache::fill(Addr block, MesiState state)
     victim->tag = block;
     victim->state = state;
     victim->lastUse = ++tick_;
-    mruWay_[set] = victimWay;
     ++*fills_;
     return writeback;
 }
@@ -165,7 +142,6 @@ L1Cache::reset()
 {
     for (auto &line : lines_)
         line = Line{};
-    mruWay_.assign(numSets_, 0);
     tick_ = 0;
 }
 
@@ -174,10 +150,8 @@ L1Cache::snapshotState() const
 {
     Snapshot snap;
     snap.lines = lines_;
-    snap.mruWay = mruWay_;
     snap.tick = tick_;
     snap.lookups = lookups_;
-    snap.mruHits = mruHits_;
     snap.fills = fills_->value();
     snap.evictions = evictions_->value();
     snap.writebacks = writebacks_->value();
@@ -188,18 +162,13 @@ L1Cache::snapshotState() const
 void
 L1Cache::restoreState(const Snapshot &snap)
 {
-    if (snap.lines.size() != lines_.size() ||
-        snap.mruWay.size() != mruWay_.size()) {
-        panic("cache snapshot geometry mismatch: {}x{} lines vs "
-              "{}x{}",
-              snap.lines.size(), snap.mruWay.size(), lines_.size(),
-              mruWay_.size());
+    if (snap.lines.size() != lines_.size()) {
+        panic("cache snapshot geometry mismatch: {} lines vs {}",
+              snap.lines.size(), lines_.size());
     }
     lines_ = snap.lines;
-    mruWay_ = snap.mruWay;
     tick_ = snap.tick;
     lookups_ = snap.lookups;
-    mruHits_ = snap.mruHits;
     auto restoreCounter = [](Counter *c, std::uint64_t v) {
         c->reset();
         *c += v;

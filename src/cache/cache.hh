@@ -10,9 +10,9 @@
  *
  * Hot-path notes: block and set extraction are shift/mask (the
  * geometry checks guarantee power-of-two block size, and set counts
- * are power-of-two for power-of-two associativities); lookups probe a
- * per-set MRU-way hint first, so the common repeated-block access
- * costs one tag compare. The per-event stat counters are resolved to
+ * are power-of-two for power-of-two associativities); a lookup scans
+ * the set's ways in order, which at the paper's 2-way geometry is at
+ * most two tag compares. The per-event stat counters are resolved to
  * `Counter *` once at construction instead of by string on every
  * access; the counters stay inside the StatGroup so `stats().value()`
  * keeps reading live values.
@@ -56,17 +56,15 @@ class L1Cache
 
     /**
      * The complete per-cache state a resumed run needs: every line's
-     * tag/MESI/LRU stamp, the MRU-way hints, the LRU tick, and the
+     * tag/MESI/LRU stamp, the LRU tick, and the
      * cumulative event counters (which feed cache-geometry RunResult
      * invariants and the vm throughput gauges).
      */
     struct Snapshot
     {
         std::vector<Line> lines;
-        std::vector<std::uint32_t> mruWay;
         std::uint64_t tick = 0;
         std::uint64_t lookups = 0;
-        std::uint64_t mruHits = 0;
         std::uint64_t fills = 0;
         std::uint64_t evictions = 0;
         std::uint64_t writebacks = 0;
@@ -75,8 +73,7 @@ class L1Cache
         std::size_t
         approxBytes() const
         {
-            return sizeof(Snapshot) + lines.capacity() * sizeof(Line) +
-                   mruWay.capacity() * sizeof(std::uint32_t);
+            return sizeof(Snapshot) + lines.capacity() * sizeof(Line);
         }
     };
 
@@ -122,8 +119,6 @@ class L1Cache
 
     /** Tag lookups performed (throughput instrumentation). */
     std::uint64_t lookups() const { return lookups_; }
-    /** Lookups satisfied by the per-set MRU-way hint. */
-    std::uint64_t mruHits() const { return mruHits_; }
 
   private:
     friend class Bus; //!< single-lookup access path in Bus::access
@@ -138,23 +133,20 @@ class L1Cache
 
     /**
      * Tag lookup. Inline: this is the single hottest cache routine —
-     * every access, snoop, and state change funnels through it. The
-     * MRU-way hint makes the common repeated-block hit one compare.
+     * every access, snoop, and state change funnels through it.
      */
     Line *
     findLine(Addr block)
     {
         ++lookups_;
-        std::uint32_t set = setIndex(block);
-        Line *base = &lines_[std::size_t{set} * geometry_.assoc];
-        std::uint32_t hint = mruWay_[set];
-        Line &mru = base[hint];
-        if (mru.state != MesiState::Invalid && mru.tag == block)
-            [[likely]] {
-            ++mruHits_;
-            return &mru;
+        Line *base = &lines_[std::size_t{setIndex(block)} *
+                             geometry_.assoc];
+        for (std::uint32_t w = 0; w < geometry_.assoc; ++w) {
+            Line &line = base[w];
+            if (line.state != MesiState::Invalid && line.tag == block)
+                return &line;
         }
-        return findLineSlow(base, set, hint, block);
+        return nullptr;
     }
 
     const Line *
@@ -163,10 +155,6 @@ class L1Cache
         return const_cast<L1Cache *>(this)->findLine(block);
     }
 
-    /** MRU miss: scan the remaining ways, updating the hint. */
-    Line *findLineSlow(Line *base, std::uint32_t set,
-                       std::uint32_t hint, Addr block);
-
     std::uint32_t coreId_;
     CacheGeometry geometry_;
     std::uint32_t numSets_;
@@ -174,10 +162,8 @@ class L1Cache
     std::uint32_t setMask_;    //!< numSets_ - 1 when power of two
     bool setsArePow2_;
     std::vector<Line> lines_;     //!< numSets_ * assoc, set-major
-    std::vector<std::uint32_t> mruWay_; //!< per-set MRU-way hint
     std::uint64_t tick_;
     std::uint64_t lookups_ = 0;
-    std::uint64_t mruHits_ = 0;
     StatGroup stats_;
     // Event counters resolved once; they live inside stats_.
     Counter *fills_;

@@ -105,8 +105,6 @@ record(TraceCategory category, TracePhase phase, TraceId id,
 void
 setTracingEnabled(bool enabled)
 {
-    if constexpr (!kTraceCompiledIn)
-        return;
     detail::traceEnabled.store(enabled, std::memory_order_relaxed);
 }
 

@@ -13,10 +13,8 @@
  * the end of a diagnosis is the DRIVER_READ_* ioctl of this layer.
  *
  * Overhead discipline:
- *  - **Compile-time gate.** Building with -DSTM_TRACE_COMPILED=0
- *    turns every record call into dead code the optimizer deletes.
- *  - **Runtime gate.** Compiled-in but disabled (the default), every
- *    instrumentation point is one relaxed atomic load and a branch.
+ *  - **Runtime gate.** Disabled (the default), every instrumentation
+ *    point is one relaxed atomic load and a branch.
  *  - **Record path.** Enabled, a record is a timestamp read plus a few
  *    stores into the calling thread's own ring: single-writer, so no
  *    locks, no CAS, no false sharing with other recording threads.
@@ -36,15 +34,8 @@
 #include <string>
 #include <vector>
 
-#ifndef STM_TRACE_COMPILED
-#define STM_TRACE_COMPILED 1
-#endif
-
 namespace stm::obs
 {
-
-/** Whether trace instrumentation is compiled into this build. */
-constexpr bool kTraceCompiledIn = STM_TRACE_COMPILED != 0;
 
 /** Which subsystem emitted an event (maps to a Chrome "cat"). */
 enum class TraceCategory : std::uint8_t {
@@ -136,18 +127,16 @@ void record(TraceCategory category, TracePhase phase, TraceId id,
             std::uint64_t arg);
 } // namespace detail
 
-/** True when events are being recorded (compiled in AND enabled). */
+/** True when events are being recorded. */
 inline bool
 tracingEnabled()
 {
-    if constexpr (!kTraceCompiledIn)
-        return false;
     return detail::traceEnabled.load(std::memory_order_relaxed);
 }
 
 /**
  * Flip the runtime gate. Enabling does not clear previously recorded
- * events (clearTrace() does); a no-op when compiled out.
+ * events (clearTrace() does).
  */
 void setTracingEnabled(bool enabled);
 

@@ -15,7 +15,7 @@
  *    run samples the exact events the original would), the LCR
  *    domain, and the BTS,
  *  - the cache hierarchy: every L1 line's tag/MESI/LRU stamp, the
- *    per-set MRU hints, LRU ticks, and the bus/cache event counters,
+ *    LRU ticks, and the bus/cache event counters,
  *  - the memory image as a copy-on-write MemorySnapshot — fork cost
  *    is O(pages touched since the last fork), and untouched pages
  *    are shared, never copied (vm/memory_image.hh),

@@ -156,10 +156,9 @@ decodeSecondary(DecodedOp &d, const Instruction &inst,
  * constant + multiply, multiply + induction increment) and the [40]
  * fall-through normalization (every source-mapped conditional is
  * followed by its inverse jump, hence br+jmp; addi+br and movi+br are
- * back-edge tests). load+movi and add+load (~0.25% each) round the
- * set out to ten so one memory-first and one memory-second shape stay
- * exercised — the two probe placements a preemption draw can take
- * inside a fused pair.
+ * back-edge tests). No pair touches memory, so a preemption probe
+ * can never fall between the two halves of a fused pair
+ * (tests/test_decode_cache.cc checks this over every opcode pair).
  */
 bool
 fusedTokenFor(Opcode a, Opcode b, ExecToken &out)
@@ -204,18 +203,6 @@ fusedTokenFor(Opcode a, Opcode b, ExecToken &out)
       case Opcode::Br:
         if (b == Opcode::Jmp) {
             out = ExecToken::FusedBrJmp;
-            return true;
-        }
-        return false;
-      case Opcode::Load:
-        if (b == Opcode::Movi) {
-            out = ExecToken::FusedLoadMovi;
-            return true;
-        }
-        return false;
-      case Opcode::Add:
-        if (b == Opcode::Load) {
-            out = ExecToken::FusedAddLoad;
             return true;
         }
         return false;
@@ -302,7 +289,6 @@ predecode(const Program &prog, const Instrumentation &instr, bool fuse)
             continue;
         d.token = fusedTok;
         decodeSecondary(d, prog.code[i + 1], prog);
-        d.flags2 = staticFlags(i + 1);
         ++dp->fusedSites;
     }
     return dp;

@@ -25,9 +25,9 @@
  * its own plain record at pc+1, so dynamic jumps into the middle of a
  * pair work naturally), and the fused handlers replicate the
  * per-instruction quantum accounting, step-limit checks, and
- * seeded-preemption RNG draws instruction-for-instruction — every
- * golden fingerprint in test_golden_determinism pins under any mix of
- * fused and unfused execution.
+ * interrupt RNG draws instruction-for-instruction — every golden
+ * fingerprint in test_golden_determinism pins under any mix of fused
+ * and unfused execution.
  *
  * The token list is an X-macro so the computed-goto label table in
  * the interpreter (vm/interp_loop.inc) can never fall out of sync
@@ -103,9 +103,7 @@ namespace stm
     X(FusedMoviBr)                                                     \
     X(FusedAddiMovi)                                                   \
     X(FusedMoviMul)                                                    \
-    X(FusedMulAddi)                                                    \
-    X(FusedLoadMovi)                                                   \
-    X(FusedAddLoad)
+    X(FusedMulAddi)
 
 /** Interpreter handler index (one per X-macro entry). */
 enum class ExecToken : std::uint8_t {
@@ -139,14 +137,13 @@ constexpr std::uint8_t kOutcome2 = 8; //!< op2 outcomeWhenTaken
  * 48 bytes; the *2 fields hold the second instruction of a fused
  * pair and are dead for plain tokens. `flags` is the PR 2
  * dispatch-flags byte of the FIRST op with the hook-presence bits of
- * this pc already folded in; `flags2` carries the second op's static
- * bits (the mid-pair preemption probe keys off it).
+ * this pc already folded in. The second op needs no flags: no fused
+ * pair touches memory, so nothing between its halves keys off them.
  */
 struct DecodedOp
 {
     ExecToken token = ExecToken::Nop;
     std::uint8_t flags = 0;
-    std::uint8_t flags2 = 0;
     std::uint8_t meta = 0;
     Cond cond = Cond::Eq;
     Cond cond2 = Cond::Eq;

@@ -597,14 +597,11 @@ Machine::run()
             std::chrono::steady_clock::now() - runStart)
             .count());
     sample.memAccesses = memory_.accesses();
-    sample.memFastHits = memory_.fastHits();
     sample.fusedPairs = fusedPairs_;
     sample.irqDelivered = irqDelivered_;
     sample.irqHandlerSteps = irqHandlerSteps_;
-    for (std::uint32_t c = 0; c < bus_.numCores(); ++c) {
+    for (std::uint32_t c = 0; c < bus_.numCores(); ++c)
         sample.cacheLookups += bus_.cache(c).lookups();
-        sample.cacheMruHits += bus_.cache(c).mruHits();
-    }
     recordVmRun(sample);
     runSpan.setArg(steps_);
     return std::move(result_);

@@ -39,9 +39,6 @@ MemorySnapshot::approxBytes() const
 }
 
 MemoryImage::MemoryImage()
-    // An impossible page base (not page-aligned) so the first access
-    // always misses the translation cache.
-    : cachedPageBase_(~Addr{0})
 {
     globals_.base = layout::kGlobalBase;
     heap_.base = layout::kHeapBase;
@@ -77,22 +74,16 @@ MemoryImage::materialize(Addr addr)
 }
 
 Word
-MemoryImage::loadSlow(Addr addr, Addr page)
+MemoryImage::load(Addr addr)
 {
-    std::shared_ptr<Word[]> &slot = materialize(addr);
-    // Cache only exclusively-owned pages: the cache serves stores
-    // too, so a co-owned page must keep routing through storeSlow's
-    // copy-on-write check.
-    if (slot.use_count() == 1) {
-        cachedPageBase_ = page;
-        cachedPage_ = slot.get();
-    }
-    return slot[(addr & kPageMask) >> 3];
+    ++accesses_;
+    return materialize(addr)[(addr & kPageMask) >> 3];
 }
 
 void
-MemoryImage::storeSlow(Addr addr, Addr page, Word value)
+MemoryImage::store(Addr addr, Word value)
 {
+    ++accesses_;
     std::shared_ptr<Word[]> &slot = materialize(addr);
     if (slot.use_count() > 1) {
         // Privatize: another owner (a checkpoint) holds this page.
@@ -100,9 +91,7 @@ MemoryImage::storeSlow(Addr addr, Addr page, Word value)
         std::memcpy(copy.get(), slot.get(), kPageBytes);
         slot = std::move(copy);
     }
-    cachedPageBase_ = page;
-    cachedPage_ = slot.get();
-    cachedPage_[(addr & kPageMask) >> 3] = value;
+    slot[(addr & kPageMask) >> 3] = value;
 }
 
 MemorySnapshot
@@ -113,11 +102,6 @@ MemoryImage::fork()
     snap.heap = heap_.pages;
     snap.stacks = stacks_.pages;
     snap.accesses = accesses_;
-    snap.fastHits = fastHits_;
-    // Every page is now co-owned; the next store to each must
-    // privatize, so the write-capable translation cache must miss.
-    cachedPageBase_ = ~Addr{0};
-    cachedPage_ = nullptr;
     return snap;
 }
 
@@ -128,9 +112,6 @@ MemoryImage::restore(const MemorySnapshot &snap)
     heap_.pages = snap.heap;
     stacks_.pages = snap.stacks;
     accesses_ = snap.accesses;
-    fastHits_ = snap.fastHits;
-    cachedPageBase_ = ~Addr{0};
-    cachedPage_ = nullptr;
 }
 
 } // namespace stm

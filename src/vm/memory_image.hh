@@ -8,8 +8,8 @@
  * table per segment (globals, heap, stacks), indexed by
  * `(addr - segment base) >> kPageShift`. Pages are zero-filled and
  * materialized on first touch, which preserves the map's semantics
- * exactly — a never-written valid word reads as 0 — while making the
- * common access shift + mask + load.
+ * exactly — a never-written valid word reads as 0 — while making
+ * every access a segment compare, a shift and an indexed load.
  *
  * Pages are refcounted (`shared_ptr<Word[]>`). fork() snapshots the
  * whole image by copying the page *tables* — O(pages), bumping every
@@ -19,14 +19,11 @@
  * write in place forever after. Fork cost is therefore O(pages
  * touched since the last fork), not O(memory).
  *
- * A one-entry translation cache (the last page touched) short-circuits
- * the segment dispatch entirely for the dominant same-page access
- * streams (stack frames, array walks); its hit rate is exported as the
- * `vm.mem_fast_rate` gauge. The cache is *write-capable*, so it may
- * only ever hold an exclusively-owned page — a cached shared page
- * would let stores bypass the copy-on-write check. Loads of shared
- * pages are served uncached, and fork() invalidates the cache because
- * it shares every page.
+ * Every access takes the same route: pick the segment by address
+ * range, index its page table, and touch the word. There is no
+ * translation cache in front of it; a one-entry last-page cache was
+ * measured on the end-to-end `lbra-seq` campaign and did not beat
+ * run-to-run noise (EXPERIMENTS.md, "Interpreter throughput").
  *
  * *Validity* is not this class's job: the Machine checks segment
  * bounds (globals end, heap brk, live stack spans) before touching the
@@ -59,7 +56,6 @@ struct MemorySnapshot
     std::vector<std::shared_ptr<Word[]>> heap;
     std::vector<std::shared_ptr<Word[]>> stacks;
     std::uint64_t accesses = 0;
-    std::uint64_t fastHits = 0;
 
     /** Materialized pages across all three segments. */
     std::size_t pageCount() const;
@@ -82,37 +78,18 @@ class MemoryImage
     MemoryImage &operator=(const MemoryImage &) = delete;
 
     /** Load the word cell containing @p addr (0 if never written). */
-    Word
-    load(Addr addr)
-    {
-        ++accesses_;
-        Addr page = addr & ~kPageMask;
-        if (page == cachedPageBase_) {
-            ++fastHits_;
-            return cachedPage_[(addr & kPageMask) >> 3];
-        }
-        return loadSlow(addr, page);
-    }
+    Word load(Addr addr);
 
-    /** Store @p value into the word cell containing @p addr. */
-    void
-    store(Addr addr, Word value)
-    {
-        ++accesses_;
-        Addr page = addr & ~kPageMask;
-        if (page == cachedPageBase_) {
-            ++fastHits_;
-            cachedPage_[(addr & kPageMask) >> 3] = value;
-            return;
-        }
-        storeSlow(addr, page, value);
-    }
+    /**
+     * Store @p value into the word cell containing @p addr,
+     * privatizing its page first if a snapshot co-owns it.
+     */
+    void store(Addr addr, Word value);
 
     /**
      * Snapshot the image by sharing every materialized page
-     * (O(pages) pointer copies — no page data moves). Invalidates the
-     * translation cache: formerly-exclusive pages are now co-owned,
-     * so the next store to each privatizes it.
+     * (O(pages) pointer copies — no page data moves). Every page is
+     * co-owned afterwards, so the next store to each privatizes it.
      */
     MemorySnapshot fork();
 
@@ -124,8 +101,6 @@ class MemoryImage
 
     /** Total accesses routed through the image. */
     std::uint64_t accesses() const { return accesses_; }
-    /** Accesses that hit the one-entry translation cache. */
-    std::uint64_t fastHits() const { return fastHits_; }
 
   private:
     /** One segment's direct-mapped page table. */
@@ -135,8 +110,6 @@ class MemoryImage
         std::vector<std::shared_ptr<Word[]>> pages;
     };
 
-    Word loadSlow(Addr addr, Addr page);
-    void storeSlow(Addr addr, Addr page, Word value);
     Segment &segmentFor(Addr addr);
     std::shared_ptr<Word[]> &materialize(Addr addr);
 
@@ -144,14 +117,7 @@ class MemoryImage
     Segment heap_;
     Segment stacks_;
 
-    // One-entry translation cache: base address of the last page
-    // touched and the page's storage. Only ever holds a page this
-    // image owns exclusively (see file comment).
-    Addr cachedPageBase_;
-    Word *cachedPage_ = nullptr;
-
     std::uint64_t accesses_ = 0;
-    std::uint64_t fastHits_ = 0;
 };
 
 } // namespace stm

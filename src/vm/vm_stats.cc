@@ -40,9 +40,7 @@ recordVmRun(const VmRunSample &sample)
     stats.counter("steps") += sample.steps;
     stats.counter("wall_micros") += sample.wallMicros;
     stats.counter("mem_accesses") += sample.memAccesses;
-    stats.counter("mem_fast_hits") += sample.memFastHits;
     stats.counter("cache_lookups") += sample.cacheLookups;
-    stats.counter("cache_mru_hits") += sample.cacheMruHits;
     stats.counter("fused_pairs") += sample.fusedPairs;
     stats.counter("irq_delivered") += sample.irqDelivered;
     stats.counter("irq_handler_steps") += sample.irqHandlerSteps;
@@ -57,12 +55,6 @@ recordVmRun(const VmRunSample &sample)
         .set(wall == 0 ? 0.0
                        : static_cast<double>(stats.value("steps")) *
                              1e6 / static_cast<double>(wall));
-    stats.gauge("mru_hit_rate")
-        .set(rate(stats.value("cache_mru_hits"),
-                  stats.value("cache_lookups")));
-    stats.gauge("mem_fast_rate")
-        .set(rate(stats.value("mem_fast_hits"),
-                  stats.value("mem_accesses")));
     stats.gauge("super_hit_rate")
         .set(rate(2 * stats.value("fused_pairs"),
                   stats.value("steps")));

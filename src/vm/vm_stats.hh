@@ -6,14 +6,12 @@
  *
  * Counters (cumulative across runs):
  *  - runs, steps, wall_micros
- *  - mem_accesses, mem_fast_hits (paged-image same-page fast path)
- *  - cache_lookups, cache_mru_hits (per-set MRU-way hint fast path)
+ *  - mem_accesses (paged-image loads and stores)
+ *  - cache_lookups (L1 tag lookups across every core)
  *  - fused_pairs (superinstructions retired; each covers two steps)
  *
  * Gauges (recomputed on every fold):
  *  - steps_per_sec: cumulative steps / cumulative wall time
- *  - mru_hit_rate: cache_mru_hits / cache_lookups
- *  - mem_fast_rate: mem_fast_hits / mem_accesses
  *  - super_hit_rate: 2 * fused_pairs / steps (share of retired
  *    instructions executed inside a superinstruction)
  */
@@ -40,9 +38,7 @@ struct VmRunSample
     std::uint64_t steps = 0;
     std::uint64_t wallMicros = 0;
     std::uint64_t memAccesses = 0;
-    std::uint64_t memFastHits = 0;
     std::uint64_t cacheLookups = 0;
-    std::uint64_t cacheMruHits = 0;
     std::uint64_t fusedPairs = 0;
     /**
      * Interrupt machinery totals: delivered interrupts and handler

@@ -19,6 +19,7 @@
 #include "program/fingerprint.hh"
 #include "program/transform.hh"
 #include "vm/decode_cache.hh"
+#include "vm/decoded_program.hh"
 #include "vm/machine.hh"
 
 namespace stm
@@ -59,7 +60,7 @@ pairHeavyProgram(const std::string &name = "pairs", int iters = 16)
         b.movi(r5, 3);      // movi+mul pair
         b.mul(r6, r5, r4);  // mul+addi pair
         b.addi(r7, r6, 1);
-        b.loadg(r8, "acc"); // load+movi pair
+        b.loadg(r8, "acc"); // load, then movi: never fused
         b.movi(r9, 0);
         b.add(r8, r8, r7);
         b.storeg("acc", 0, r8, r10);
@@ -253,6 +254,47 @@ TEST(DecodeCache, ConcurrentCampaignPredecodesExactlyOnce)
 }
 
 // ---- fusion transparency under preemption --------------------------------
+
+TEST(DecodeCache, NoFusedPairTouchesMemory)
+{
+    // The fused handlers draw no preemption probe between their two
+    // halves. That is exact only while no fused pair loads or stores:
+    // predecode a program holding every adjacent opcode pair and
+    // check every record it fused.
+    Program prog;
+    for (std::size_t a = 0; a < kOpcodeCount; ++a) {
+        for (std::size_t b = 0; b < kOpcodeCount; ++b) {
+            Instruction first;
+            first.op = static_cast<Opcode>(a);
+            Instruction second;
+            second.op = static_cast<Opcode>(b);
+            prog.code.push_back(first);
+            prog.code.push_back(second);
+        }
+    }
+    prog.rebuildDispatchFlags();
+
+    DecodedProgramPtr dp = predecode(prog, Instrumentation{}, true);
+    std::vector<bool> seen(kExecTokenCount, false);
+    for (std::size_t pc = 0; pc + 1 < dp->ops.size(); ++pc) {
+        const DecodedOp &d = dp->ops[pc];
+        if (d.token < kFirstFusedToken)
+            continue;
+        seen[static_cast<std::size_t>(d.token)] = true;
+        EXPECT_FALSE(prog.code[pc].accessesMemory())
+            << "fused token " << static_cast<int>(d.token)
+            << " loads or stores in its first half";
+        EXPECT_FALSE(prog.instrFlags[pc + 1] & dispatch::kAccessesMemory)
+            << "fused token " << static_cast<int>(d.token)
+            << " loads or stores in its second half";
+    }
+    // Every superinstruction is reachable, so the check covers each
+    // fused handler.
+    const auto first = static_cast<std::size_t>(kFirstFusedToken);
+    EXPECT_EQ(kExecTokenCount - first, 8u);
+    for (std::size_t tok = first; tok < kExecTokenCount; ++tok)
+        EXPECT_TRUE(seen[tok]) << "fused token " << tok << " never fused";
+}
 
 TEST(DecodeCache, FusedMatchesUnfusedUnderSeededPreemption)
 {

@@ -3,7 +3,7 @@
  * Golden-determinism tests for the interpreter hot path.
  *
  * The single-run fast path (flat paged memory image, per-pc hook side
- * tables, precomputed dispatch flags, cache MRU fast path) must keep
+ * tables, precomputed dispatch flags, superinstructions) must keep
  * every RunResult bit-identical to the seed interpreter: same RNG
  * draws, same step counts, same profiles, same stats. These tests pin
  * that contract with 64-bit FNV-1a fingerprints over a canonical

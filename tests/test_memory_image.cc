@@ -257,8 +257,8 @@ TEST(MemoryImage, GlobalOverridesLandInPagedMemory)
  * Adversarial address generator for the paged image: addresses spread
  * over all three segments (a bounded number of pages each), biased
  * toward page boundaries (the shift/mask edge cases) and toward
- * alternating pages (evicting the one-entry translation cache as often
- * as possible).
+ * alternating neighbour pages (a page switch on as many accesses as
+ * possible).
  */
 class AddressGen
 {
@@ -276,8 +276,8 @@ class AddressGen
 
         Addr page;
         if (rng_.nextBool(0.4) && last_ != 0) {
-            // Translation-cache eviction bias: hop to the adjacent
-            // page of the previous access, then right back next call.
+            // Neighbour bias: hop to the adjacent page of the
+            // previous access, then right back next call.
             page = (last_ & ~MemoryImage::kPageMask) ^ pageBytes;
         } else {
             page = bases[rng_.nextBounded(3)] +
@@ -364,14 +364,12 @@ TEST(MemoryImageModel, AgreesWithMapReferenceOver100kOps)
     EXPECT_GT(stores, 0u);
     EXPECT_GT(loads, 0u);
     EXPECT_GT(fills, 0u);
-    EXPECT_GT(image.fastHits(), 0u);
-    EXPECT_LT(image.fastHits(), image.accesses());
 }
 
-TEST(MemoryImageModel, TranslationCacheInvisibleUnderPingPong)
+TEST(MemoryImageModel, AdjacentPagesStayApartUnderPingPong)
 {
-    // Two cells on adjacent pages: every access evicts the cache
-    // entry the previous one installed. Values must be unaffected.
+    // Two cells on adjacent pages, touched alternately: every access
+    // switches page. Values must be unaffected.
     MemoryImage image;
     Addr a = layout::kHeapBase + 8;
     Addr b = a + MemoryImage::kPageBytes;
@@ -381,10 +379,7 @@ TEST(MemoryImageModel, TranslationCacheInvisibleUnderPingPong)
         ASSERT_EQ(image.load(a), i);
         ASSERT_EQ(image.load(b), ~i);
     }
-    // 4 accesses per iteration, all slow-path page switches except
-    // none: the ping-pong defeats the one-entry cache entirely.
     EXPECT_EQ(image.accesses(), 4000u);
-    EXPECT_EQ(image.fastHits(), 0u);
 }
 
 } // namespace

@@ -149,11 +149,13 @@ mergeMain(const CliOptions &cli)
  * every partition — the capture pipeline is deterministic), ship this
  * partition's slice through a DurableCollector with periodic epoch
  * rolls, and leave the final snapshot on disk for the coordinator.
+ * A directory it cannot create or write is a user error: it prints
+ * the reason and exits 1.
  */
 int
 durableMain(const CliOptions &cli, const BugSpec &bug,
             const fleet::FleetOptions &opts)
-{
+try {
     fleet::DurableOptions durable;
     durable.dir = cli.durableDir;
     durable.collectorId = cli.collectorId;
@@ -225,6 +227,9 @@ durableMain(const CliOptions &cli, const BugSpec &bug,
                   << cli.statsJsonPath << ")\n";
     }
     return 0;
+} catch (const FatalError &e) {
+    std::cerr << e.what() << '\n';
+    return 1;
 }
 
 } // namespace
